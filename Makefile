@@ -1,7 +1,7 @@
 # Developer entry points. `make check` is the expanded verification
 # gate (build, gofmt, vet, tests, race detector); see check.sh.
 
-.PHONY: build test check lint vet-tool fmt bench bench-pr3 bench-pr4 bench-pr5 bench-pr7 bench-pr8 bench-pr9 bench-pr10 serve profile conformance fuzz-smoke
+.PHONY: build test check lint vet-tool fmt bench serve profile conformance fuzz-smoke
 
 build:
 	go build ./...
@@ -25,89 +25,17 @@ vet-tool:
 fmt:
 	gofmt -w .
 
-# Time the industrial engine benchmarks sequentially (-parallel 1) and
-# parallel (-parallel 0 = all CPUs) and record ns/op plus the parallel
-# speedup in BENCH_PR2.json. The bit-reproducibility contract makes the
-# two variants compute identical bounds, so the ratio is pure wall-time.
+# Run the repository benchmark (perfbench/README.md): every workload,
+# untraced then traced, with its answer checks; exits non-zero on any
+# failed run or wrong answer. For another seed or run length call
+# the script directly: bash perfbench/all.sh <seed> <seconds>.
 bench:
-	go test -run '^$$' -bench 'Industrial(Seq|Par)$$' -benchtime 2x . \
-		| tee /dev/stderr | go run ./cmd/afdx-benchjson -o BENCH_PR2.json
-
-# Time the conformance oracle sequentially and parallel (one op = a
-# 16-config campaign; the verdicts are identical either way, so the
-# ratio is pure wall time) and record ns/op, configs/s and the speedup
-# in BENCH_PR3.json.
-bench-pr3:
-	go test -run '^$$' -bench 'ConformanceOracle(Seq|Par)$$' -benchtime 3x ./internal/conformance \
-		| tee /dev/stderr | go run ./cmd/afdx-benchjson -o BENCH_PR3.json
-
-# Time the incremental what-if layer against cold recomputation: a full
-# conformance shrink minimisation (40 candidates) and a single what-if
-# step, each run from scratch (Cold) and through the dependency-tracked
-# caches (Incr). Results are bit-identical by the incremental contract,
-# so the recorded speedups are pure re-analysis wall time; pairs use
-# the fastest of 3 samples to damp shared-runner noise. Expected:
-# ShrinkLoop speedup >= 2x, WhatIfStep speedup >= 2x.
-bench-pr5:
-	go test -run '^$$' -bench '(ShrinkLoop|WhatIfStep)(Cold|Incr)$$' -benchtime 5x -count 3 ./internal/incremental \
-		| tee /dev/stderr | go run ./cmd/afdx-benchjson -o BENCH_PR5.json
-
-# Time the trajectory engine on the industrial configuration through
-# the reference (pre-flattening) hot path (Cold) and the flat
-# index-based one (Fast), sequentially and parallel. The differential
-# suite (internal/trajectory/flat_test.go) proves the two bit-identical,
-# so the recorded ratio is pure hot-loop wall time; pairs use the
-# fastest of 3 samples. Expected: Seq speedup >= 5x.
-bench-pr7:
-	go test -run '^$$' -bench 'TrajectoryIndustrial(Seq|Par)(Cold|Fast)$$' -benchtime 2x -count 3 ./internal/trajectory \
-		| tee /dev/stderr | go run ./cmd/afdx-benchjson -o BENCH_PR7.json
-
-# Time one interactive what-if question answered cold (full re-analysis
-# of the mutated industrial configuration, CLI-style) and through a warm
-# afdx-serve session over real HTTP, wire round-trip included. The
-# served-conformance tier proves both compute bit-identical bounds, so
-# the recorded speedup is the latency the daemon saves an exploration
-# loop; pairs use the fastest of 3 samples.
-bench-pr8:
-	go test -run '^$$' -bench 'ServeWhatIf(Cold|Served)$$' -benchtime 3x -count 3 ./internal/serve \
-		| tee /dev/stderr | go run ./cmd/afdx-benchjson -o BENCH_PR8.json
-
-# Time the served what-if loop with the operational observability stack
-# fully off versus fully on (JSON request/delta logs, per-request
-# tracing into the retention ring, slow-request detection on every
-# request, runtime sampler, per-bound provenance). The non-interference
-# tier proves the bounds bit-identical either way, so the recorded
-# obs_off_on_pairs overhead is the full price of observing a served
-# answer. The pair is interleaved across 4 separate runs (rather than
-# -count 4 in one) so both variants sample the same machine epochs —
-# on a shared runner, sequential halves drift by more than the effect
-# being measured; fastest-of damps the rest. Budget: <= 5%.
-bench-pr9:
-	for i in 1 2 3 4; do \
-		go test -run '^$$' -bench 'ServeWhatIfObs(Off|On)$$' -benchtime 5x ./internal/serve || exit 1; \
-	done | tee /dev/stderr | go run ./cmd/afdx-benchjson -o BENCH_PR9.json
-
-# Price the NC tightness/cost ladder: each analysis tier (TFA, WCNC,
-# FIFO) run cold and sequentially on the industrial configuration,
-# recorded as tier_cold_pairs in BENCH_PR10.json with each tier's cost
-# relative to the WCNC default. The conformance oracle enforces the
-# cross-tier ordering (cheaper never tighter), so the recorded ratios
-# are the pure wall-time side of the trade; pairs use the fastest of 3
-# samples. Expected: TFA <= ~1x, FIFO a small multiple of WCNC.
-bench-pr10:
-	go test -run '^$$' -bench 'NCIndustrialTier(TFA|WCNC|FIFO)Cold$$' -benchtime 2x -count 3 . \
-		| tee /dev/stderr | go run ./cmd/afdx-benchjson -o BENCH_PR10.json
+	bash perfbench/all.sh
 
 # Start the analysis daemon on the default loopback port (see README
 # "Serving" for the curl walkthrough; Ctrl-C drains gracefully).
 serve:
 	go run ./cmd/afdx-serve -addr 127.0.0.1:8723
-
-# Measure the observability layer itself: per-engine instrumented/plain
-# wall-time ratio (median over interleaved rounds; budget <= 5%) plus
-# the engine counter totals, recorded in BENCH_PR4.json.
-bench-pr4:
-	go run ./cmd/afdx-benchjson -obs -o BENCH_PR4.json
 
 # Capture CPU and heap profiles of the full industrial analysis under
 # profiles/ (gitignored); inspect with `go tool pprof`.

@@ -282,7 +282,7 @@ func CompareWithCtx(ctx context.Context, pg *PortGraph, nc NCOptions, tr Traject
 // Incremental what-if re-analysis (dependency-tracked caching).
 type (
 	// IncrementalSession is a stateful what-if loop: apply deltas,
-	// re-analyse, with unchanged ports and paths served from cache.
+	// re-analyse, with unchanged NC ports served from cache.
 	IncrementalSession = incremental.Session
 	// IncrementalOptions binds a session's validation mode and engine
 	// option sets.

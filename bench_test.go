@@ -184,9 +184,8 @@ func BenchmarkSimCheck(b *testing.B) {
 
 // The industrial engine benchmarks come in Seq (-parallel 1) and Par
 // (-parallel 0, all CPUs) variants; the bit-reproducibility contract
-// makes both compute the same bounds, so the ratio is the parallel
-// speedup quoted in the README and BENCH_PR2.json (cmd/afdx-benchjson
-// extracts it from `go test -bench Industrial` output).
+// makes both compute the same bounds, so their ratio is the parallel
+// speedup quoted in the README (`go test -run '^$' -bench Industrial .`).
 func benchmarkNCIndustrial(b *testing.B, workers int) {
 	pg := industrialGraph(b)
 	opts := afdx.DefaultNCOptions()
@@ -216,9 +215,9 @@ func BenchmarkNetworkCalculusIndustrialPar(b *testing.B) { benchmarkNCIndustrial
 
 // The per-tier Cold benchmarks price the NC tightness/cost ladder:
 // each analysis tier run from scratch, sequentially, on the industrial
-// configuration (cmd/afdx-benchjson pairs them against the WCNC tier
-// into BENCH_PR10.json's tier_cold_pairs). The conformance oracle pins
-// the cross-tier ordering, so the recorded ratios are pure wall time.
+// configuration, each read against the WCNC tier. The conformance
+// oracle pins the cross-tier ordering, so the ratios are pure wall
+// time.
 func benchmarkNCIndustrialTier(b *testing.B, tier afdx.NCAnalysis) {
 	pg := industrialGraph(b)
 	opts := afdx.DefaultNCOptions()

@@ -10,6 +10,10 @@
 #                             fails the gate)
 #   5. go test ./...         (tier-1: the full test suite)
 #   6. go test -race ./...   (the suite again under the race detector)
+#   6b. perfbench module     (go vet + go test inside perfbench/: the
+#                             benchmark is a module of its own, so the
+#                             root build never compiles it, and an API
+#                             change it depends on must fail here)
 #   7. afdx-conformance      (short cross-engine differential campaign,
 #                             deterministic seed, wall-time budgeted)
 #   8. incremental parity    (a second campaign on a different seed:
@@ -71,6 +75,9 @@ go test ./...
 
 echo "== go test -race ./..."
 go test -race ./...
+
+echo "== perfbench module (go vet + go test)"
+(cd perfbench && go vet ./... && go test ./...)
 
 echo "== conformance oracle (short campaign, deterministic)"
 go run ./cmd/afdx-conformance -n 150 -seed 1 -budget 45s -quiet

@@ -27,7 +27,7 @@ var (
 	cliOnce  sync.Once
 	cliDir   string
 	cliErr   error
-	cliTools = []string{"afdx-gen", "afdx-lint", "afdx-bounds", "afdx-sim", "afdx-experiments", "afdx-exact", "afdx-conformance", "afdx-benchjson", "afdx-vet", "afdx-serve"}
+	cliTools = []string{"afdx-gen", "afdx-lint", "afdx-bounds", "afdx-sim", "afdx-experiments", "afdx-exact", "afdx-conformance", "afdx-vet", "afdx-serve"}
 )
 
 // buildCLIs compiles every command once per test binary invocation.
@@ -795,35 +795,5 @@ func TestCLIServeUsageErrors(t *testing.T) {
 		if code := cmd.ProcessState.ExitCode(); code != 2 {
 			t.Errorf("afdx-serve %v: exit %d, want 2\n%s", args, code, out)
 		}
-	}
-}
-
-// TestCLIBenchJSON checks the report assembler: Seq/Par rows pair into
-// a speedup and -o writes the document to the named file.
-func TestCLIBenchJSON(t *testing.T) {
-	dir := buildCLIs(t)
-	out := filepath.Join(t.TempDir(), "bench.json")
-	cmd := exec.Command(filepath.Join(dir, "afdx-benchjson"), "-o", out)
-	cmd.Stdin = strings.NewReader(
-		"BenchmarkIndustrialNCSeq-8   5  200000000 ns/op\n" +
-			"BenchmarkIndustrialNCPar-8  10  100000000 ns/op\n")
-	if b, err := cmd.CombinedOutput(); err != nil {
-		t.Fatalf("afdx-benchjson: %v\n%s", err, b)
-	}
-	raw, err := os.ReadFile(out)
-	if err != nil {
-		t.Fatalf("-o wrote no file: %v", err)
-	}
-	var rep struct {
-		Pairs []struct {
-			Base    string  `json:"benchmark"`
-			Speedup float64 `json:"speedup"`
-		} `json:"seq_par_pairs"`
-	}
-	if err := json.Unmarshal(raw, &rep); err != nil {
-		t.Fatalf("report is not JSON: %v\n%s", err, raw)
-	}
-	if len(rep.Pairs) != 1 || rep.Pairs[0].Base != "BenchmarkIndustrialNC" || rep.Pairs[0].Speedup != 2 {
-		t.Errorf("pairs = %+v, want one BenchmarkIndustrialNC pair with speedup 2", rep.Pairs)
 	}
 }

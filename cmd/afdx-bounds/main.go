@@ -22,9 +22,9 @@
 // What-if mode re-analyses the configuration under deltas without
 // re-running the full analysis: after the base table, each -delta (or
 // each line of the -whatif file; '-' reads stdin) is applied to an
-// incremental session — only the ports and paths downstream of the
-// change are recomputed, and the reprinted bounds are bit-identical to
-// a cold run on the mutated configuration:
+// incremental session — only the NC ports downstream of the change are
+// recomputed, and the reprinted bounds are bit-identical to a cold run
+// on the mutated configuration:
 //
 //	afdx-bounds -config net.json -delta 'bag v3 16' -delta 'drop v7'
 //	afdx-bounds -config net.json -whatif scenario.txt

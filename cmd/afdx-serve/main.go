@@ -84,7 +84,7 @@ func main() {
 		config       = flag.String("config", "", "configuration for -selfcheck (required with it)")
 		replaySeed   = flag.Int64("replay-seed", 1, "seed of the -selfcheck delta script")
 		replaySteps  = flag.Int("replay-steps", 20, "length of the -selfcheck delta script")
-		traceRing    = flag.Int("trace-ring", 256, "retained request traces behind /v1/trace (0 disables per-request tracing)")
+		traceRing    = flag.Int("trace-ring", serve.DefaultTraceEvents, "retained request-trace events behind /v1/trace, oldest traces evicted first (0 disables per-request tracing)")
 		slowThresh   = flag.Duration("slow-threshold", 0, "log requests slower than this at warn level (0 = adaptive p99)")
 		sampleIvl    = flag.Duration("sample-interval", 10*time.Second, "runtime health sampling period (heap, GC, goroutines, pool occupancy; 0 disables)")
 	)

@@ -4,8 +4,7 @@ import "testing"
 
 // Oracle-throughput benchmarks: one op is a 16-configuration campaign
 // (the same family either way — the report is deterministic across
-// worker counts, so Seq vs Par measures pure wall time). `make bench-pr3`
-// pairs the two into BENCH_PR3.json via cmd/afdx-benchjson.
+// worker counts, so Seq vs Par measures pure wall time).
 func benchCampaign(b *testing.B, workers int) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {

@@ -12,12 +12,12 @@ import (
 )
 
 // enginePool holds the incremental caches the oracle's reference runs
-// route through when Oracle.Incremental is set: one netcalc.Cache and
-// one trajectory.Cache per engine option set (Parallel excluded — the
-// caches are worker-count agnostic by contract). Trajectory caches
-// share the default-options netcalc cache for their internal NC prefix
-// runs, so a grouped trajectory run's prefix is a pure hit off the
-// grouped NC reference run.
+// route through when Oracle.Incremental is set: one netcalc.Cache per
+// NC option set (Parallel excluded — the caches are worker-count
+// agnostic by contract) and one trajectory.Cache, which is not bound
+// to trajectory options. The trajectory cache's prefix runs go through
+// the default-options netcalc cache, so a trajectory run's prefix is a
+// pure hit off the grouped NC reference run.
 //
 // A pool is single-writer, like the caches it holds: the shrinker owns
 // a persistent one across its (sequential) candidate evaluations, and
@@ -25,14 +25,13 @@ import (
 // shared Oracle safe under the campaign's config-level parallelism.
 type enginePool struct {
 	nc map[netcalc.Options]*netcalc.Cache
-	tr map[trajectory.Options]*trajectory.Cache
+	tr *trajectory.Cache
 }
 
 func newEnginePool() *enginePool {
-	return &enginePool{
-		nc: map[netcalc.Options]*netcalc.Cache{},
-		tr: map[trajectory.Options]*trajectory.Cache{},
-	}
+	p := &enginePool{nc: map[netcalc.Options]*netcalc.Cache{}}
+	p.tr = trajectory.NewCacheWithPrefix(trajectory.DefaultOptions(), p.ncCache(netcalc.DefaultOptions()))
+	return p
 }
 
 func (p *enginePool) ncCache(opts netcalc.Options) *netcalc.Cache {
@@ -48,23 +47,6 @@ func (p *enginePool) ncCache(opts netcalc.Options) *netcalc.Cache {
 			break
 		}
 		p.nc[opts] = c
-	}
-	return c
-}
-
-func (p *enginePool) trCache(opts trajectory.Options) *trajectory.Cache {
-	opts.Parallel = 0
-	c := p.tr[opts]
-	if c == nil {
-		c = trajectory.NewCacheWithPrefix(opts, p.ncCache(netcalc.DefaultOptions()))
-		// Same prefix cache ⇒ same dependency values: share the tracker
-		// so each candidate's dependencies are folded in once, not once
-		// per trajectory option set.
-		for _, donor := range p.tr {
-			c.ShareDeps(donor)
-			break
-		}
-		p.tr[opts] = c
 	}
 	return c
 }

@@ -274,7 +274,7 @@ func (o *Oracle) CheckCtx(ctx context.Context, net *afdx.Network) ([]Violation, 
 			return netcalc.AnalyzeWithCacheCtx(ctx, pg, opts, pool.ncCache(opts))
 		}
 		runTraj = func(ctx context.Context, pg *afdx.PortGraph, opts trajectory.Options) (*trajectory.Result, error) {
-			return trajectory.AnalyzeWithCacheCtx(ctx, pg, opts, pool.trCache(opts))
+			return trajectory.AnalyzeWithCacheCtx(ctx, pg, opts, pool.tr)
 		}
 	}
 	var ncG, ncU, ncT, ncF *netcalc.Result

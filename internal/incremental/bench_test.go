@@ -15,14 +15,15 @@ import (
 
 // shrinkNet is the shrink-loop benchmark workload: an 8-switch
 // industrial configuration with strong locality and mostly-unicast
-// VLs, so a dropped VL invalidates a narrow cone of ports and paths
-// and the candidate sweep's A/B/A alternation exercises both cache
+// VLs, so a dropped VL invalidates a narrow cone of NC ports and the
+// candidate sweep's A/B/A alternation exercises both cache
 // generations. One op is a full 40-candidate ShrinkCtx minimisation
 // of the grouping-tightens invariant; Cold and Incr differ only in
 // Oracle.Incremental, and the shrinker's verdicts are identical
 // either way (the caches are bit-exact), so the pair measures pure
-// re-analysis wall time. `make bench-pr5` pairs the two into
-// BENCH_PR5.json via cmd/afdx-benchjson.
+// re-analysis wall time:
+//
+//	go test -run '^$' -bench '(ShrinkLoop|WhatIfStep)(Cold|Incr)$' -benchtime 5x -count 3 ./internal/incremental
 func shrinkNet(b *testing.B) *afdx.Network {
 	spec := configgen.DefaultSpec(42)
 	spec.NumSwitches = 8

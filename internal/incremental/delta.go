@@ -1,15 +1,16 @@
 // Package incremental is the dependency-tracked what-if re-analysis
 // layer: a Session holds a working copy of a configuration plus the
-// per-port (netcalc) and per-path (trajectory) outcome caches, applies
-// Deltas — VL added or removed, BAG / s_max / priority changed, path
-// rerouted — and re-analyses only what a delta actually dirties. The
-// engines' caches (netcalc.Cache, trajectory.Cache) decide reuse by
-// comparing each unit's input fingerprint bitwise, so invalidation is
-// exactly the change's downstream cone in PortGraph.Ranks order, with
-// early cutoff where inflated envelopes stop differing — and every
-// incremental result is bit-identical to a cold recompute, at every
-// worker count (the contract the conformance oracle's
-// incremental-parity invariant enforces).
+// per-port network-calculus outcome cache, applies Deltas — VL added
+// or removed, BAG / s_max / priority changed, path rerouted — and
+// recomputes only the NC ports a delta actually dirties. The cache
+// (netcalc.Cache, shared with the trajectory engine's NC prefix run
+// through trajectory.Cache) decides reuse by comparing each port's
+// input fingerprint bitwise, so invalidation is exactly the change's
+// downstream cone in PortGraph.Ranks order, with early cutoff where
+// inflated envelopes stop differing. The trajectory paths are bounded
+// afresh every round. Every incremental result is bit-identical to a
+// cold recompute, at every worker count (the contract the conformance
+// oracle's incremental-parity invariant enforces).
 package incremental
 
 import (

@@ -178,8 +178,10 @@ func TestDeltaSequenceBitIdentity(t *testing.T) {
 	}
 }
 
-// A no-op re-analysis must be served entirely from cache: zero port or
-// path recomputes, and the hit counters equal the unit counts.
+// A no-op re-analysis must trigger no NC port recompute: both the
+// session's NC run and the trajectory engine's prefix run are served
+// from the shared NC port cache. The trajectory paths themselves are
+// bounded afresh (the engine keeps no per-path cache).
 func TestNoOpReanalysisAllHits(t *testing.T) {
 	net := testNet(t, 5, 10)
 	sess, err := incremental.NewSession(net, incremental.DefaultOptions())
@@ -195,7 +197,7 @@ func TestNoOpReanalysisAllHits(t *testing.T) {
 		t.Fatal(err)
 	}
 	snap := reg.Snapshot()
-	for _, name := range []string{"netcalc.incr_port_recomputes", "trajectory.incr_path_recomputes"} {
+	for _, name := range []string{"netcalc.incr_port_recomputes", "netcalc.incr_port_invalidations"} {
 		if got := snap.Counter(name); got != 0 {
 			t.Errorf("%s = %d after a no-op re-analysis, want 0", name, got)
 		}
@@ -209,8 +211,8 @@ func TestNoOpReanalysisAllHits(t *testing.T) {
 	if got, want := snap.Counter("netcalc.incr_port_hits"), int64(2*len(pg.Ports)); got != want {
 		t.Errorf("netcalc.incr_port_hits = %d, want %d", got, want)
 	}
-	if got, want := snap.Counter("trajectory.incr_path_hits"), int64(len(net.AllPaths())); got != want {
-		t.Errorf("trajectory.incr_path_hits = %d, want %d", got, want)
+	if got, want := snap.Counter("trajectory.paths_analyzed"), int64(len(net.AllPaths())); got != want {
+		t.Errorf("trajectory.paths_analyzed = %d, want %d", got, want)
 	}
 }
 

@@ -56,11 +56,12 @@ type Result struct {
 
 // Session is the stateful what-if loop: it owns a private clone of a
 // configuration, re-validates and swaps it under Apply'd deltas, and
-// Analyze serves unchanged ports and paths from the engines' incremental
-// caches. Sessions are not safe for concurrent use (the caches are
-// single-writer); Options.NC.Parallel / Options.Trajectory.Parallel
-// still fan each individual analysis out, and results do not depend on
-// those values.
+// Analyze serves unchanged ports from the NC port cache — for the NC
+// analysis and for the trajectory engine's NC prefix run — while the
+// trajectory paths are bounded afresh each round. Sessions are not
+// safe for concurrent use (the caches are single-writer);
+// Options.NC.Parallel / Options.Trajectory.Parallel still fan each
+// individual analysis out, and results do not depend on those values.
 type Session struct {
 	opts   Options
 	net    *afdx.Network
@@ -178,9 +179,9 @@ func (s *Session) ncCacheFor(tier netcalc.Analysis) (*netcalc.Cache, netcalc.Opt
 }
 
 // Analyze runs both engines over the current configuration through the
-// session's caches and assembles the combined comparison. Ports and
-// paths whose inputs are unchanged since the previous Analyze are
-// served from cache; the result is bit-identical to a cold run. An
+// session's caches and assembles the combined comparison. Ports whose
+// inputs are unchanged since the previous Analyze are served from the
+// NC port cache; the result is bit-identical to a cold run. An
 // analysis error (e.g. cancellation, instability after a delta) leaves
 // the caches consistent — every stored entry is still keyed by its
 // exact inputs — so the session remains usable.
@@ -239,8 +240,8 @@ func (s *Session) WhatIfTier(ctx context.Context, tier netcalc.Analysis, deltas 
 // Peek is WhatIf without the commit: the deltas are applied, the
 // mutated configuration analysed through the session's caches, and the
 // session's configuration restored — the next Analyze sees the state
-// from before the Peek. The caches keep both variants' entries (each
-// keyed by its exact inputs; the two-generation slots make the
+// from before the Peek. The NC port cache keeps both variants' entries
+// (each keyed by its exact inputs; its two-generation slots make the
 // apply/restore alternation cheap), so peeking never degrades later
 // rounds. The serving layer's /whatif endpoint is this call.
 func (s *Session) Peek(ctx context.Context, deltas ...Delta) (*Result, error) {

@@ -75,7 +75,6 @@ type Cache struct {
 // keeps the pointer from being reused for a different graph.
 type sigMemo struct {
 	pg     *afdx.PortGraph
-	nexts  map[FlowPortKey]string
 	vals   map[afdx.PortID]string
 	stabPG *afdx.PortGraph // last graph that passed lint.CheckStability
 }
@@ -330,27 +329,13 @@ func flowNexts(pg *afdx.PortGraph) map[FlowPortKey]string {
 	return out
 }
 
-// PortSignatures returns the fingerprint of every port of the graph.
-// The trajectory engine's path-level cache consumes this: a cached
-// path stays valid only while the signature of every crossed port is
-// unchanged (see trajectory.Cache).
-func PortSignatures(pg *afdx.PortGraph) map[afdx.PortID]string {
-	nexts := flowNexts(pg)
-	out := make(map[afdx.PortID]string, len(pg.Ports))
-	var buf []byte
-	for id := range pg.Ports {
-		out[id], buf = portSignature(pg, id, nexts, buf)
-	}
-	return out
-}
-
-// signatures returns the per-port fingerprints and per-flow fan-out
-// encoding of pg, memoized per graph. Signatures depend only on the
+// signatures returns the per-port fingerprints of pg, memoized per
+// graph. Signatures depend only on the
 // graph, never on options, so the memo survives ensureOpts rebinding —
 // and incremental consumers analyze each graph several times in a row
 // (the direct NC run, then the trajectory engines' prefix runs), where
 // the fingerprint rendering, not the analysis, dominates a warm run.
-func (c *Cache) signatures(pg *afdx.PortGraph) (map[afdx.PortID]string, map[FlowPortKey]string) {
+func (c *Cache) signatures(pg *afdx.PortGraph) map[afdx.PortID]string {
 	m := c.sig
 	if m.pg != pg {
 		nexts := flowNexts(pg)
@@ -359,16 +344,7 @@ func (c *Cache) signatures(pg *afdx.PortGraph) (map[afdx.PortID]string, map[Flow
 		for id := range pg.Ports {
 			vals[id], buf = portSignature(pg, id, nexts, buf)
 		}
-		m.pg, m.nexts, m.vals = pg, nexts, vals
+		m.pg, m.vals = pg, vals
 	}
-	return m.vals, m.nexts
-}
-
-// SignaturesFor is PortSignatures through the cache's per-graph memo.
-// The trajectory cache reads port signatures through its nested prefix
-// cache so one rendering serves both engines; callers must treat the
-// returned map as read-only.
-func (c *Cache) SignaturesFor(pg *afdx.PortGraph) map[afdx.PortID]string {
-	sigs, _ := c.signatures(pg)
-	return sigs
+	return m.vals
 }

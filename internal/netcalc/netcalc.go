@@ -203,7 +203,7 @@ func analyzeWith(ctx context.Context, pg *afdx.PortGraph, opts Options, c *Cache
 			im.hits.Add(int64(len(pg.Ports)))
 			return c.lastRes, nil
 		}
-		sigMap, _ = c.signatures(pg)
+		sigMap = c.signatures(pg)
 	}
 	if c == nil || c.sig.stabPG != pg {
 		if err := lint.CheckStability(pg); err != nil {

@@ -111,6 +111,61 @@ func TestRingEvictionOrder(t *testing.T) {
 	}
 }
 
+// TestRingEventBudget pins the retention unit: traces cost
+// max(1, len(Events)) events against the budget, the budget is never
+// exceeded by more than the newest trace alone, the newest trace is
+// always retained, and evicted ids miss on Get.
+func TestRingEventBudget(t *testing.T) {
+	const budget = 50
+	r := NewRing(budget)
+	mk := func(i, n int) RequestTrace {
+		return RequestTrace{ID: fmt.Sprintf("r%d", i), Events: make([]obs.TraceEvent, n)}
+	}
+	sizes := []int{0, 7, 20, 1, 13, 49, 50, 3, 80, 2, 0, 30, 19, 5}
+	for i, n := range sizes {
+		r.Add(mk(i, n))
+		list := r.List()
+		if list[0].ID != fmt.Sprintf("r%d", i) {
+			t.Fatalf("after r%d (%d events): newest retained is %s", i, n, list[0].ID)
+		}
+		used := 0
+		for _, s := range list {
+			used += max(1, s.Events)
+		}
+		if used > budget && len(list) > 1 {
+			t.Fatalf("after r%d: %d traces hold %d events, budget %d", i, len(list), used, budget)
+		}
+		// Retained traces are exactly the newest suffix; everything
+		// older misses.
+		for j := 0; j <= i; j++ {
+			_, ok := r.Get(fmt.Sprintf("r%d", j))
+			if want := j > i-len(list); ok != want {
+				t.Fatalf("after r%d: Get(r%d) = %v, want %v", i, j, ok, want)
+			}
+		}
+	}
+	// An oversized newcomer evicts everything older and stays alone.
+	r2 := NewRing(budget)
+	r2.Add(mk(1, 10))
+	r2.Add(mk(2, 80))
+	if r2.Len() != 1 {
+		t.Fatalf("oversized newest trace: Len = %d, want 1", r2.Len())
+	}
+	if tr, ok := r2.Get("r2"); !ok || len(tr.Events) != 80 {
+		t.Fatalf("oversized newest trace not retained: %v", ok)
+	}
+	if _, ok := r2.Get("r1"); ok {
+		t.Fatal("trace evicted for an oversized newcomer still resolves")
+	}
+	// Exactly filling the budget evicts nothing.
+	r3 := NewRing(budget)
+	r3.Add(mk(1, 20))
+	r3.Add(mk(2, 30))
+	if r3.Len() != 2 {
+		t.Fatalf("exact fill: Len = %d, want 2", r3.Len())
+	}
+}
+
 func TestRingNilAndZero(t *testing.T) {
 	var r *Ring
 	r.Add(RequestTrace{ID: "x"})

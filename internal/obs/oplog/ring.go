@@ -33,44 +33,54 @@ type TraceSummary struct {
 	Events  int    `json:"events"`
 }
 
-// Ring retains the most recent completed request traces in a fixed-
-// capacity circular buffer. Adding the capacity+1'th trace evicts the
-// oldest; lookups by id only resolve while the trace is retained.
-// All methods are safe for concurrent use, and a nil *Ring no-ops, so
-// the serve layer threads it unconditionally.
+// Ring retains the most recent completed request traces within a
+// budget of retained trace events, so its memory is bounded whatever
+// the size of the traces: each trace costs max(1, len(Events)) events.
+// Adding a trace evicts the oldest ones until it fits; the newest trace
+// is always retained, even when it alone exceeds the budget. Lookups
+// by id only resolve while the trace is retained. All methods are safe
+// for concurrent use, and a nil *Ring no-ops, so the serve layer
+// threads it unconditionally.
 type Ring struct {
-	mu   sync.Mutex
-	buf  []RequestTrace
-	next int // next slot to write
-	n    int // slots filled, ≤ len(buf)
-	byID map[string]int
+	mu     sync.Mutex
+	budget int
+	used   int             // events retained
+	q      []*RequestTrace // retained traces, oldest first
+	byID   map[string]*RequestTrace
 }
 
-// NewRing returns a ring retaining up to capacity traces; capacity
+// NewRing returns a ring retaining up to budget trace events; budget
 // ≤ 0 returns nil (retention off).
-func NewRing(capacity int) *Ring {
-	if capacity <= 0 {
+func NewRing(budget int) *Ring {
+	if budget <= 0 {
 		return nil
 	}
-	return &Ring{buf: make([]RequestTrace, capacity), byID: make(map[string]int)}
+	return &Ring{budget: budget, byID: make(map[string]*RequestTrace)}
 }
 
-// Add retains tr, evicting the oldest trace when full.
+// cost is the budget share of one retained trace.
+func cost(tr *RequestTrace) int { return max(1, len(tr.Events)) }
+
+// Add retains tr, evicting the oldest traces until it fits the budget.
 func (r *Ring) Add(tr RequestTrace) {
 	if r == nil {
 		return
 	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	if old := r.buf[r.next]; r.n == len(r.buf) && r.byID[old.ID] == r.next {
-		delete(r.byID, old.ID)
+	t := &tr
+	for len(r.q) > 0 && r.used+cost(t) > r.budget {
+		old := r.q[0]
+		r.q[0] = nil // the backing array must not keep it alive
+		r.q = r.q[1:]
+		r.used -= cost(old)
+		if r.byID[old.ID] == old {
+			delete(r.byID, old.ID)
+		}
 	}
-	r.buf[r.next] = tr
-	r.byID[tr.ID] = r.next
-	r.next = (r.next + 1) % len(r.buf)
-	if r.n < len(r.buf) {
-		r.n++
-	}
+	r.q = append(r.q, t)
+	r.used += cost(t)
+	r.byID[t.ID] = t
 }
 
 // Get returns the retained trace with the given id.
@@ -80,11 +90,11 @@ func (r *Ring) Get(id string) (RequestTrace, bool) {
 	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	i, ok := r.byID[id]
+	tr, ok := r.byID[id]
 	if !ok {
 		return RequestTrace{}, false
 	}
-	return r.buf[i], true
+	return *tr, true
 }
 
 // List returns summaries of the retained traces, newest first.
@@ -94,10 +104,9 @@ func (r *Ring) List() []TraceSummary {
 	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	out := make([]TraceSummary, 0, r.n)
-	for k := 1; k <= r.n; k++ {
-		i := (r.next - k + len(r.buf)) % len(r.buf)
-		tr := r.buf[i]
+	out := make([]TraceSummary, 0, len(r.q))
+	for i := len(r.q) - 1; i >= 0; i-- {
+		tr := r.q[i]
 		out = append(out, TraceSummary{
 			ID:      tr.ID,
 			Method:  tr.Method,
@@ -118,5 +127,5 @@ func (r *Ring) Len() int {
 	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	return r.n
+	return len(r.q)
 }

@@ -138,9 +138,6 @@ type Provenance struct {
 	// PortHits / PortRecomputes are netcalc.incr_port_{hits,recomputes}.
 	PortHits       int64 `json:"portHits"`
 	PortRecomputes int64 `json:"portRecomputes"`
-	// PathHits / PathRecomputes are trajectory.incr_path_{hits,recomputes}.
-	PathHits       int64 `json:"pathHits"`
-	PathRecomputes int64 `json:"pathRecomputes"`
 	// ObsVersion is the observability-layer schema tag (oplog.Version).
 	ObsVersion string `json:"obsVersion"`
 }

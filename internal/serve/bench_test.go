@@ -18,8 +18,7 @@ import (
 	"afdx/internal/trajectory"
 )
 
-// The Cold/Served benchmark pair (afdx-benchjson pairs the suffixes):
-// the same what-if question answered by a cold CLI-style run — full
+// The Cold/Served benchmark pair: the same what-if question answered by a cold CLI-style run — full
 // re-analysis of the mutated configuration — versus one warm afdx-serve
 // session over real HTTP, wire round-trip included. Both compute
 // bit-identical bounds (the served-conformance tier pins it); the ratio
@@ -79,11 +78,11 @@ func BenchmarkServeWhatIfServed(b *testing.B) {
 // The ObsOff/ObsOn pair times the identical served what-if loop with
 // the observability stack fully off versus fully on: structured JSON
 // request and delta logs (written to io.Discard so the pair measures
-// the layer, not the disk), per-request tracing retained in a 256-entry
-// ring, slow-request detection with a threshold of 1µs (every request
+// the layer, not the disk), per-request tracing retained within the
+// default event budget, slow-request detection with a threshold of 1µs (every request
 // takes the slow-log path — the worst case), the runtime sampler, and
-// per-bound provenance on every answer. afdx-benchjson pairs the
-// suffixes into obs_off_on_pairs; the overhead budget is <= 5%.
+// per-bound provenance on every answer. The overhead budget between
+// the pair is <= 5%.
 
 func BenchmarkServeWhatIfObsOff(b *testing.B) {
 	benchServedWhatIf(b, false)
@@ -104,7 +103,7 @@ func benchServedWhatIf(b *testing.B, obsOn bool) {
 	if obsOn {
 		opts.Registry = obs.NewRegistry()
 		opts.Logger = slog.New(slog.NewJSONHandler(io.Discard, nil))
-		opts.TraceRing = oplog.NewRing(256)
+		opts.TraceRing = oplog.NewRing(DefaultTraceEvents)
 		opts.SlowRequestUs = 1
 		query = "?provenance=1"
 	}

@@ -223,8 +223,6 @@ func (s *Server) provenance(sess *incremental.Session, ds []incremental.Delta, c
 		Workers:        parallel.Workers(workers),
 		PortHits:       snap.Counter("netcalc.incr_port_hits"),
 		PortRecomputes: snap.Counter("netcalc.incr_port_recomputes"),
-		PathHits:       snap.Counter("trajectory.incr_path_hits"),
-		PathRecomputes: snap.Counter("trajectory.incr_path_recomputes"),
 		ObsVersion:     oplog.Version,
 	}
 }

@@ -9,6 +9,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"reflect"
+	"sort"
 	"strings"
 	"sync"
 	"testing"
@@ -38,7 +39,7 @@ func uploadSession(t *testing.T, ts *httptest.Server, seed int64, vls int, query
 // request's engine spans inside.
 func TestTraceEndpoints(t *testing.T) {
 	opts := testOptions()
-	opts.TraceRing = oplog.NewRing(8)
+	opts.TraceRing = oplog.NewRing(DefaultTraceEvents)
 	_, ts := newTestServer(t, opts)
 	base := uploadSession(t, ts, 7, 8, "")
 
@@ -126,11 +127,26 @@ func TestTraceEndpoints(t *testing.T) {
 // TestTraceRingEvictionConcurrent hammers one session from concurrent
 // clients through a tiny ring (run with -race): the ring must end
 // exactly full, every listed trace retrievable, capacity never
-// exceeded.
+// exceeded. The ring's budget is in trace events, so it is sized to
+// hold exactly capacity what-if traces, measured on a probe server.
 func TestTraceRingEvictionConcurrent(t *testing.T) {
 	const capacity = 4
+	body, _ := json.Marshal(DeltaRequest{Deltas: []string{"bag v0001 16"}})
+	probe := testOptions()
+	probe.TraceRing = oplog.NewRing(DefaultTraceEvents)
+	_, pts := newTestServer(t, probe)
+	pbase := uploadSession(t, pts, 7, 8, "")
+	var presp AnalysisResponse
+	if err := postJSON(pts.Client(), pts.URL+"/v1/sessions/"+pbase.Session+"/whatif", body, &presp); err != nil {
+		t.Fatal(err)
+	}
+	perTrace := probe.TraceRing.List()[0].Events
+	if perTrace < 2 {
+		t.Fatalf("probe what-if trace has %d events; too few to exercise the event budget", perTrace)
+	}
+
 	opts := testOptions()
-	opts.TraceRing = oplog.NewRing(capacity)
+	opts.TraceRing = oplog.NewRing(capacity * perTrace)
 	_, ts := newTestServer(t, opts)
 	base := uploadSession(t, ts, 7, 8, "")
 
@@ -140,7 +156,6 @@ func TestTraceRingEvictionConcurrent(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			body, _ := json.Marshal(DeltaRequest{Deltas: []string{"bag v0001 16"}})
 			for i := 0; i < rounds; i++ {
 				var resp AnalysisResponse
 				if err := postJSON(ts.Client(), ts.URL+"/v1/sessions/"+base.Session+"/whatif", body, &resp); err != nil {
@@ -159,7 +174,9 @@ func TestTraceRingEvictionConcurrent(t *testing.T) {
 	if len(list) != capacity {
 		t.Fatalf("list length = %d, want %d", len(list), capacity)
 	}
+	used := 0
 	for _, s := range list {
+		used += s.Events
 		tr, ok := opts.TraceRing.Get(s.ID)
 		if !ok {
 			t.Errorf("listed trace %s not retrievable", s.ID)
@@ -168,6 +185,9 @@ func TestTraceRingEvictionConcurrent(t *testing.T) {
 		if len(tr.Events) != s.Events {
 			t.Errorf("trace %s: %d events, summary says %d", s.ID, len(tr.Events), s.Events)
 		}
+	}
+	if used > capacity*perTrace {
+		t.Errorf("ring holds %d events, budget %d", used, capacity*perTrace)
 	}
 }
 
@@ -195,6 +215,24 @@ func TestSSEProvenanceMatchesResponse(t *testing.T) {
 		}
 		if resp.Provenance.ConfigFNV64 == "" || resp.Provenance.ObsVersion != oplog.Version {
 			t.Errorf("%s provenance incomplete: %+v", verb, resp.Provenance)
+		}
+		// The oplog/2 layout: the trajectory engine keeps no per-path
+		// cache, so the record carries NC port-cache counters only.
+		raw, err := json.Marshal(resp.Provenance)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var fields map[string]any
+		if err := json.Unmarshal(raw, &fields); err != nil {
+			t.Fatal(err)
+		}
+		keys := make([]string, 0, len(fields))
+		for k := range fields {
+			keys = append(keys, k)
+		}
+		sort.Strings(keys)
+		if want := "analysis,configFnv64,engines,obsVersion,portHits,portRecomputes,trajectoryPath,workers"; strings.Join(keys, ",") != want || fields["obsVersion"] != "oplog/2" {
+			t.Errorf("%s provenance layout %v (obsVersion %v), want fields %s at oplog/2", verb, keys, fields["obsVersion"], want)
 		}
 		ev := <-events
 		if ev.Seq != resp.Seq {

@@ -74,13 +74,19 @@ type Options struct {
 	// Logger receives one structured record per HTTP request and per
 	// applied delta. nil = logging off (records are discarded).
 	Logger *slog.Logger
-	// TraceRing retains completed request traces for /v1/trace; nil
-	// disables per-request tracing and retention.
+	// TraceRing retains completed request traces for /v1/trace, within
+	// its event budget; nil disables per-request tracing and retention.
 	TraceRing *oplog.Ring
 	// SlowRequestUs is the slow-request log threshold in microseconds;
 	// 0 = adaptive (live p99 of the latency histogram, 1ms floor).
 	SlowRequestUs int64
 }
+
+// DefaultTraceEvents is the default trace-retention budget in trace
+// events (see oplog.Ring): about 25 what-if traces of the ~5000-path
+// industrial configuration, a few MB each, and the full history of
+// small configurations.
+const DefaultTraceEvents = 1 << 17
 
 // DefaultOptions returns the daemon's production limits.
 func DefaultOptions() Options {
@@ -91,7 +97,7 @@ func DefaultOptions() Options {
 		RequestTimeout: 2 * time.Minute,
 		IdleTimeout:    30 * time.Minute,
 		KeepAlive:      15 * time.Second,
-		TraceRing:      oplog.NewRing(256),
+		TraceRing:      oplog.NewRing(DefaultTraceEvents),
 	}
 }
 

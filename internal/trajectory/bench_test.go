@@ -8,11 +8,12 @@ import (
 	"afdx/internal/configgen"
 )
 
-// The PR 7 benchmark pair: the industrial configuration analysed by the
-// reference (pre-flattening) engine — Cold — and by the flat hot path —
-// Fast. Both produce bit-identical results (see flat_test.go), so the
-// recorded ratio is pure hot-loop wall time; `make bench-pr7` turns the
-// pair into the BENCH_PR7.json speedup record.
+// The flattening benchmark pair: the industrial configuration analysed
+// by the reference (pre-flattening) engine — Cold — and by the flat hot
+// path — Fast. Both produce bit-identical results (see flat_test.go),
+// so their ratio is pure hot-loop wall time:
+//
+//	go test -run '^$' -bench 'TrajectoryIndustrial' -benchtime 2x -count 3 ./internal/trajectory
 
 func industrialPG(b *testing.B) *afdx.PortGraph {
 	b.Helper()

@@ -4,7 +4,6 @@ import (
 	"context"
 	"fmt"
 	"io"
-	"sort"
 
 	"afdx/internal/afdx"
 )
@@ -63,56 +62,49 @@ func ExplainCtx(ctx context.Context, pg *afdx.PortGraph, pid afdx.PathID, opts O
 	if !ok {
 		return nil, fmt.Errorf("trajectory: unknown path %v", pid)
 	}
-	a, err := newAnalyzer(ctx, pg, opts)
+	a, err := newAnalyzer(ctx, pg, opts, nil)
 	if err != nil {
 		return nil, err
 	}
-	vl := pg.VL(pid.VL)
 	ports := pg.PathPorts(pid)
-	inter, err := a.interferenceSet(ctx, vl, ports, nil)
-	if err != nil {
+	sc := a.flat.getScratch()
+	defer a.flat.putScratch(sc)
+	if err := a.interferenceSet(ctx, sc, pg.VL(pid.VL), ports, nil); err != nil {
 		return nil, err
 	}
 	ex := &Explanation{Path: pid, DelayUs: det.DelayUs, CriticalT: det.CriticalT}
 	t := det.CriticalT
-	for _, it := range inter {
-		n := frameCount(t+it.aUs, it.vl.BAGUs())
+	// sc.inter is in VL-ID order, the order the terms are listed in.
+	// Serialization groups are keyed by (first shared port, input link),
+	// i.e. by the interferer's path position and port-local group.
+	type gk struct{ pos, grp int32 }
+	raw, maxC, ratio, size := map[gk]float64{}, map[gk]float64{}, map[gk]float64{}, map[gk]int{}
+	for _, it := range sc.inter {
+		fp := sc.fps[it.pos]
 		ex.Interference = append(ex.Interference, InterferenceTerm{
-			VL:        it.vl.ID,
-			FirstPort: it.first,
-			InputLink: it.prev,
-			Frames:    n,
+			VL:        a.flat.vls[it.vl].ID,
+			FirstPort: fp.id,
+			InputLink: fp.grpPrev[it.grp],
+			Frames:    frameCount(t+it.aUs, it.bagUs),
 			CUs:       it.cUs,
 			AUs:       it.aUs,
 		})
+		k := gk{it.pos, it.grp}
+		raw[k] += it.cUs
+		if it.cUs > maxC[k] {
+			maxC[k] = it.cUs
+		}
+		ratio[k] = it.serRatio
+		size[k]++
 	}
-	// Mark group-capped terms: recompute the grouped sum and compare the
-	// per-group raw first-frame total against the cap.
+	// Mark group-capped terms: compare each group's raw first-frame
+	// total against its serialization cap.
 	if opts.Grouping {
-		type gk struct {
-			port afdx.PortID
-			prev string
-		}
-		raw := map[gk]float64{}
-		maxC := map[gk]float64{}
-		ratio := map[gk]float64{}
-		for _, it := range inter {
-			if frameCount(t+it.aUs, it.vl.BAGUs()) == 0 {
-				continue
-			}
-			k := gk{it.first, it.prev}
-			raw[k] += it.cUs
-			if it.cUs > maxC[k] {
-				maxC[k] = it.cUs
-			}
-			ratio[k] = it.serRatio
-		}
-		for i := range ex.Interference {
-			it := &ex.Interference[i]
-			k := gk{it.FirstPort, it.InputLink}
-			serialized := it.InputLink != "" || countGroup(inter, k.port, k.prev) > 1
+		for i, it := range sc.inter {
+			k := gk{it.pos, it.grp}
+			serialized := ex.Interference[i].InputLink != "" || size[k] > 1
 			if serialized && raw[k] > maxC[k]+t*ratio[k] {
-				it.GroupCapped = true
+				ex.Interference[i].GroupCapped = true
 			}
 		}
 	}
@@ -136,18 +128,7 @@ func ExplainCtx(ctx context.Context, pg *afdx.PortGraph, pid afdx.PathID, opts O
 	for _, h := range ports {
 		ex.LatencyUs += pg.Ports[h].LatencyUs
 	}
-	sort.Slice(ex.Interference, func(i, j int) bool { return ex.Interference[i].VL < ex.Interference[j].VL })
 	return ex, nil
-}
-
-func countGroup(inter []interferer, port afdx.PortID, prev string) int {
-	n := 0
-	for _, it := range inter {
-		if it.first == port && it.prev == prev {
-			n++
-		}
-	}
-	return n
 }
 
 // Render writes the explanation as text.

@@ -13,8 +13,8 @@ import (
 	"afdx/internal/netcalc"
 )
 
-// This file is the flattened trajectory hot path. The reference engine
-// (reference.go) spends ~90% of its time hashing strings and rebuilding
+// This file is the trajectory hot path, flattened. The reference walker
+// (reference_test.go) spends ~90% of its time hashing strings and rebuilding
 // maps inside the two per-candidate/per-path inner loops; this
 // implementation runs the same mathematics on dense, int-indexed state
 // built once per analyzer:
@@ -93,8 +93,8 @@ type flatPort struct {
 	serRatio []float64 // per flow: serialization ratio of its input link
 	grpOf    []int32   // per flow: local input-group index (prev-sorted)
 
-	nGroups      int32
-	grpPrevEmpty []bool // per local group: arrives from the local node
+	nGroups int32
+	grpPrev []string // per local group: its input node ("" = local source)
 
 	// Busy-period fixpoint inputs, accumulated in flow order exactly as
 	// the reference sourceBusyPeriod does.
@@ -181,13 +181,9 @@ func (fl *flatIndex) putScratch(sc *scratch) {
 	fl.pool.Put(sc)
 }
 
-// prepare builds the flat hot-path index. It runs after the prefix
-// bounds are known (newAnalyzerWith for cold runs, AnalyzeWithCacheCtx
-// for incremental ones) and is skipped entirely on reference analyzers.
+// prepare builds the flat hot-path index. newAnalyzer runs it once the
+// prefix bounds are known.
 func (a *analyzer) prepare() error {
-	if a.reference {
-		return nil
-	}
 	fl := &flatIndex{
 		vls:   a.pg.VLOrder(),
 		ports: make(map[afdx.PortID]*flatPort, len(a.pg.Ports)),
@@ -256,8 +252,8 @@ func (a *analyzer) buildFlatPort(id afdx.PortID) (*flatPort, error) {
 	sort.Strings(prevs)
 	for gi, prev := range prevs {
 		prevIdx[prev] = int32(gi)
-		fp.grpPrevEmpty = append(fp.grpPrevEmpty, prev == "")
 	}
+	fp.grpPrev = prevs
 	fp.nGroups = int32(len(prevs))
 	grpRatio := make([]float64, len(prevs))
 	grpSeen := make([]bool, len(prevs))
@@ -303,27 +299,22 @@ func (a *analyzer) buildFlatPort(id afdx.PortID) (*flatPort, error) {
 	return fp, nil
 }
 
-// analyzePortSeqFlat is the flat twin of analyzePortSeqRef. Same
-// mathematics, same accumulation orders, dense state.
-func (a *analyzer) analyzePortSeqFlat(ctx context.Context, vl *afdx.VirtualLink, ports []afdx.PortID, visiting map[netcalc.FlowPortKey]bool) (PathDetail, error) {
-	if err := ctx.Err(); err != nil {
-		return PathDetail{}, fmt.Errorf("trajectory: analysis cancelled: %w", err)
-	}
-	topLevel := visiting == nil
+// interferenceSet fills sc.fps, sc.sMin and sc.inter for one port
+// sequence of vl: the resolved ports, the analyzed flow's minimum
+// arrival time at each, and every flow sharing at least one of them
+// (vl included) with its first shared port and window alignment A_ij,
+// in VL-ordinal (= VL-ID) order. Group slots are still port-local.
+func (a *analyzer) interferenceSet(ctx context.Context, sc *scratch, vl *afdx.VirtualLink, ports []afdx.PortID, visiting map[netcalc.FlowPortKey]bool) error {
 	fl := a.flat
-	sc := fl.getScratch()
-	defer fl.putScratch(sc)
-
 	// Resolve the path's ports and the analyzed flow's min arrival
 	// times (the reference's sMin map, now a dense slice).
-	q := len(ports)
 	sc.fps = sc.fps[:0]
 	sc.sMin = sc.sMin[:0]
 	acc := 0.0
 	for _, h := range ports {
 		fp := fl.ports[h]
 		if fp == nil {
-			return PathDetail{}, fmt.Errorf("trajectory: internal error: port %s missing from the flat index", h)
+			return fmt.Errorf("trajectory: internal error: port %s missing from the flat index", h)
 		}
 		sc.fps = append(sc.fps, fp)
 		sc.sMin = append(sc.sMin, acc)
@@ -348,7 +339,7 @@ func (a *analyzer) analyzePortSeqFlat(ctx context.Context, vl *afdx.VirtualLink,
 			if a.opts.PrefixMode == PrefixNC {
 				if !fp.prefOK[j] {
 					a.m.ncMiss.Inc()
-					return PathDetail{}, fmt.Errorf("trajectory: no NC prefix bound for VL %s at %s", fl.vls[ord].ID, fp.id)
+					return fmt.Errorf("trajectory: no NC prefix bound for VL %s at %s", fl.vls[ord].ID, fp.id)
 				}
 				sMaxJ = fp.pref[j]
 				ncLookups++
@@ -356,7 +347,7 @@ func (a *analyzer) analyzePortSeqFlat(ctx context.Context, vl *afdx.VirtualLink,
 				var err error
 				sMaxJ, err = a.sMax(ctx, fl.vls[ord], fp.id, visiting)
 				if err != nil {
-					return PathDetail{}, err
+					return err
 				}
 			}
 			sc.seen[ord] = int32(len(sc.inter))
@@ -379,6 +370,23 @@ func (a *analyzer) analyzePortSeqFlat(ctx context.Context, vl *afdx.VirtualLink,
 	// unique within the set (first-occurrence dedup), so instability of
 	// the sort cannot reorder equal keys.
 	slices.SortFunc(sc.inter, func(x, y flatInterferer) int { return int(x.vl) - int(y.vl) })
+	return nil
+}
+
+// analyzePortSeqFlat is the flat twin of the reference walker's
+// analyzePortSeqRef. Same mathematics, same accumulation orders, dense
+// state.
+func (a *analyzer) analyzePortSeqFlat(ctx context.Context, vl *afdx.VirtualLink, ports []afdx.PortID, visiting map[netcalc.FlowPortKey]bool) (PathDetail, error) {
+	if err := ctx.Err(); err != nil {
+		return PathDetail{}, fmt.Errorf("trajectory: analysis cancelled: %w", err)
+	}
+	topLevel := visiting == nil
+	fl := a.flat
+	sc := fl.getScratch()
+	defer fl.putScratch(sc)
+	if err := a.interferenceSet(ctx, sc, vl, ports, visiting); err != nil {
+		return PathDetail{}, err
+	}
 	if topLevel {
 		a.m.interferers.Observe(int64(len(sc.inter)))
 	}
@@ -403,7 +411,7 @@ func (a *analyzer) analyzePortSeqFlat(ctx context.Context, vl *afdx.VirtualLink,
 
 	nSlots := 0
 	if a.opts.Grouping {
-		nSlots = sc.regroupInterferers(q)
+		nSlots = sc.regroupInterferers(len(ports))
 	}
 
 	if err := sc.mergeCandidates(ctx, busy); err != nil {
@@ -470,7 +478,7 @@ func (sc *scratch) regroupInterferers(q int) int {
 		base := sc.slotBase[pos]
 		for g := int32(0); g < fp.nGroups; g++ {
 			sc.grpCount[base+g] = 0
-			sc.grpPrevEmpty[base+g] = fp.grpPrevEmpty[g]
+			sc.grpPrevEmpty[base+g] = fp.grpPrev[g] == ""
 		}
 	}
 	for i := range sc.inter {

@@ -3,6 +3,7 @@ package trajectory
 import (
 	"context"
 	"fmt"
+	"math"
 	"math/rand"
 	"path/filepath"
 	"strings"
@@ -13,7 +14,7 @@ import (
 )
 
 // Differential tests of the flat hot path (flat.go) against the
-// reference engine (reference.go). The contract is bit-identity: every
+// reference engine (reference_test.go). The contract is bit-identity: every
 // PathDetail — delay, busy period, critical offset, candidate and
 // interferer counts — must be exactly equal (==, no tolerance) at every
 // worker count.
@@ -61,6 +62,19 @@ func flatVsReference(t *testing.T, label string, pg *afdx.PortGraph, variants []
 }) {
 	t.Helper()
 	ctx := context.Background()
+	// Both engines read the transition terms from the flat index's
+	// per-port frame maxima; pin those against the port's flow list.
+	if a, err := newAnalyzer(ctx, pg, DefaultOptions(), nil); err == nil {
+		for id, p := range pg.Ports {
+			want := 0.0
+			for _, f := range p.Flows {
+				want = math.Max(want, f.VL.CMaxUs(p.RateBitsPerUs))
+			}
+			if got := a.maxFrameTimeAt(id); got != want {
+				t.Errorf("%s: max frame time at %s: flat %x vs flow list %x", label, id, got, want)
+			}
+		}
+	}
 	for _, v := range variants {
 		for _, workers := range []int{1, 0} {
 			opts := v.opts
@@ -154,7 +168,7 @@ func TestPrefixOffPathIsHardError(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	a, err := newAnalyzer(context.Background(), pg, Options{Grouping: true, PrefixMode: PrefixTrajectory})
+	a, err := newAnalyzer(context.Background(), pg, Options{Grouping: true, PrefixMode: PrefixTrajectory}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -2,144 +2,30 @@ package trajectory
 
 import (
 	"context"
-	"fmt"
 
 	"afdx/internal/afdx"
 	"afdx/internal/netcalc"
-	"afdx/internal/obs"
-	"afdx/internal/parallel"
 )
 
-// Cache memoizes per-path trajectory outcomes across runs of the same
-// engine options, for the incremental what-if layer
-// (internal/incremental). It nests a netcalc.Cache for the engine's
-// internal NC prefix run, so after a small delta both the prefix
-// bounds and the unaffected paths are served from cache.
+// Cache is the trajectory engine's state in the incremental what-if
+// layer (internal/incremental): the netcalc.Cache its internal NC
+// prefix run goes through. After a small delta the prefix bounds are
+// served port by port from that cache, and every path is then bounded
+// by the same loop a cold run uses. Paths are not memoized: every path
+// depends on the prefix bound of every flow at every port it crosses,
+// so after a typical delta nearly every path's inputs change, and
+// checking them would cost more than the recomputation it could save.
 //
-// # Validity and bit-identity
-//
-// analyzePortSeq for a path is a pure function of (a) the path's port
-// sequence, (b) the full flow/contract/rate/latency state of every
-// crossed port — rendered as netcalc.PortSignatures — and (c) the NC
-// prefix bound of every flow at every crossed port (the S_max terms).
-// The cache tracks dependencies by version: each run bumps a run
-// counter, re-renders every port signature and prefix value, and
-// records the run at which each last *changed*. A cached path is
-// reused only when every dependency's last-change run is no later
-// than the run that computed the entry — i.e. every input is bitwise
-// identical to what the entry was computed from — so a hit equals a
-// recomputation bit for bit, and an incremental run is bit-identical
-// to a cold run for any delta sequence.
-//
-// Reuse decisions are sequential (before the path fan-out), so the
-// hit/miss counters are Deterministic at every Options.Parallel value.
-// Like the netcalc cache, a Cache is bound to one option set (Parallel
-// excluded) and is not safe for concurrent use.
+// The engine options are not part of a Cache's identity (the prefix
+// run always uses netcalc.DefaultOptions), so one Cache serves every
+// trajectory option set. Like the netcalc cache, a Cache is not safe
+// for concurrent use.
 type Cache struct {
-	opts  Options
-	bound bool
-	nc    *netcalc.Cache
-	dep   *depTracker
-	paths map[afdx.PathID]*pathLine
+	nc *netcalc.Cache
 }
 
-// pathLine holds up to two generations of outcomes for one path, most
-// recent first. Two slots make the cache proof against the A/B/A
-// alternation of candidate sweeps (the conformance shrinker tries
-// "cur minus VL i" for each i against an unchanged cur): the sweep's
-// recomputation overwrites slot 0, while slot 1 keeps the outcome for
-// the base values every next candidate flips back to.
-type pathLine struct {
-	slots [2]*pathEntry
-}
-
-// depTracker versions the dependency values path entries are checked
-// against: the signature of every port and the NC prefix bound of
-// every (flow, port). It is shareable across trajectory caches of
-// different options — the dependency space is graph-determined (the
-// prefix run always uses netcalc.DefaultOptions), so an update is a
-// pure function of (graph, prefix result) and caches sharing a
-// tracker see the exact versions they would have recorded privately.
-type depTracker struct {
-	run  int64
-	sigs map[afdx.PortID]verString
-	pref map[netcalc.FlowPortKey]verFloat
-	// prefPort coarsens pref to whole ports: the last run any flow's
-	// prefix bound at the port changed. The validity fast path scans
-	// ports, not (flow, port) pairs — an over-approximation (a port's
-	// coarse version can be newer than every surviving flow's), which
-	// is sound because a failed fast path falls back to exact value
-	// comparison, never to invalidation.
-	prefPort map[afdx.PortID]int64
-
-	// Last inputs folded in, by pointer: the signature map is memoized
-	// per graph and the prefix result is memo-served for repeated
-	// (graph, options) runs, so pointer equality proves value equality
-	// and the whole re-render loop can be skipped (that skip is what
-	// makes sharing a tracker between the grouped and ungrouped
-	// trajectory reference runs profitable).
-	lastPG *afdx.PortGraph
-	lastNC *netcalc.Result
-}
-
-func newDepTracker() *depTracker {
-	return &depTracker{
-		sigs:     map[afdx.PortID]verString{},
-		pref:     map[netcalc.FlowPortKey]verFloat{},
-		prefPort: map[afdx.PortID]int64{},
-	}
-}
-
-// update folds one run's dependency values in, bumping the version of
-// every value that differs from the last recorded one. Re-folding
-// identical values is a no-op (nothing bumps), so calling update for
-// runs of several caches in any order is safe.
-func (d *depTracker) update(pg *afdx.PortGraph, sigs map[afdx.PortID]string, nc *netcalc.Result) {
-	if d.lastPG == pg && d.lastNC == nc {
-		return
-	}
-	d.run++
-	for id, s := range sigs {
-		if e, ok := d.sigs[id]; !ok || e.val != s {
-			d.sigs[id] = verString{s, d.run}
-		}
-	}
-	for key, v := range nc.PrefixDelays {
-		if e, ok := d.pref[key]; !ok || e.val != v {
-			d.pref[key] = verFloat{v, d.run}
-			d.prefPort[key.Port] = d.run
-		}
-	}
-	d.lastPG, d.lastNC = pg, nc
-}
-
-type verString struct {
-	val string
-	ver int64
-}
-
-type verFloat struct {
-	val float64
-	ver int64
-}
-
-// pathEntry is one cached path outcome together with the exact
-// dependency values it was computed from: the signature of each
-// crossed port (sigs, parallel to ports) and the NC prefix bound of
-// every flow at every crossed port (pref, in crossed-port-then-
-// canonical-flow order). at is the dependency-clock run that last
-// validated the entry — the version fast path; the stored values are
-// the exact fallback when versions have moved (see slotValid).
-type pathEntry struct {
-	ports []afdx.PortID
-	sigs  []string
-	pref  []float64
-	det   PathDetail
-	at    int64
-}
-
-// NewCache returns an empty path cache for the given engine options,
-// with a private nested netcalc cache for the prefix runs.
+// NewCache returns a cache with a private nested netcalc cache for the
+// prefix runs. opts is not retained (see Cache).
 func NewCache(opts Options) *Cache { return NewCacheWithPrefix(opts, nil) }
 
 // NewCacheWithPrefix is NewCache with a caller-supplied netcalc cache
@@ -147,260 +33,25 @@ func NewCache(opts Options) *Cache { return NewCacheWithPrefix(opts, nil) }
 // own NC analysis when its options equal netcalc.DefaultOptions, so
 // the prefix run becomes a pure cache hit). nil allocates a private
 // one.
-func NewCacheWithPrefix(opts Options, ncc *netcalc.Cache) *Cache {
+func NewCacheWithPrefix(_ Options, ncc *netcalc.Cache) *Cache {
 	if ncc == nil {
 		ncc = netcalc.NewCache(netcalc.DefaultOptions())
 	}
-	c := &Cache{nc: ncc, dep: newDepTracker()}
-	c.ensureOpts(opts)
-	return c
-}
-
-// ShareDeps makes c reuse donor's dependency tracker (and should come
-// with a shared prefix cache, see NewCacheWithPrefix), so a pool of
-// trajectory caches with different engine options folds each run's
-// dependency values in once instead of once per cache. The path
-// entries themselves stay private — only the dependency clock is
-// shared.
-func (c *Cache) ShareDeps(donor *Cache) { c.dep = donor.dep }
-
-func (c *Cache) ensureOpts(opts Options) {
-	opts.Parallel = 0
-	if !c.bound || c.opts != opts {
-		c.opts = opts
-		c.bound = true
-		// The tracker survives rebinding (dependency values are
-		// graph-determined, not option-determined); only the entries
-		// computed under the old options are unusable.
-		c.paths = map[afdx.PathID]*pathLine{}
-	}
+	return &Cache{nc: ncc}
 }
 
 // PrefixNCCache exposes the nested netcalc cache backing the prefix
 // runs (for sessions that share it with their own NC analysis).
 func (c *Cache) PrefixNCCache() *netcalc.Cache { return c.nc }
 
-// trIncrMetrics counts path-cache traffic of one incremental run; all
-// Deterministic (sequential reuse decisions).
-type trIncrMetrics struct {
-	hits          *obs.Counter
-	recomputes    *obs.Counter
-	invalidations *obs.Counter
-}
-
-func newTrIncrMetrics(reg *obs.Registry) trIncrMetrics {
-	if reg == nil {
-		return trIncrMetrics{}
-	}
-	return trIncrMetrics{
-		hits: reg.Counter("trajectory.incr_path_hits", obs.Deterministic,
-			"path outcomes served from the incremental cache"),
-		recomputes: reg.Counter("trajectory.incr_path_recomputes", obs.Deterministic,
-			"paths recomputed by incremental runs (cold or invalidated)"),
-		invalidations: reg.Counter("trajectory.incr_path_invalidations", obs.Deterministic,
-			"cached path outcomes invalidated by a changed dependency"),
-	}
-}
-
-// AnalyzeWithCache is AnalyzeWithCacheCtx without observability.
-func AnalyzeWithCache(pg *afdx.PortGraph, opts Options, c *Cache) (*Result, error) {
-	return AnalyzeWithCacheCtx(context.Background(), pg, opts, c)
-}
-
-// AnalyzeWithCacheCtx runs the Trajectory analysis, serving paths with
-// unchanged dependencies from c and recomputing only the rest (see
-// Cache). A nil cache degenerates to AnalyzeCtx, as does
-// PrefixTrajectory mode: its recursive prefix bounds depend on the
-// whole transitive upstream cone, which this cache's per-port
-// dependency tracking does not model. The result is bit-identical to
-// a cold AnalyzeCtx run on the same graph and options.
+// AnalyzeWithCacheCtx runs the Trajectory analysis with its NC prefix
+// run served from c's netcalc cache. A nil cache degenerates to
+// AnalyzeCtx, and so does PrefixTrajectory mode, which runs no NC
+// prefix analysis. The result is bit-identical to a cold AnalyzeCtx
+// run on the same graph and options.
 func AnalyzeWithCacheCtx(ctx context.Context, pg *afdx.PortGraph, opts Options, c *Cache) (*Result, error) {
-	if c == nil || opts.PrefixMode != PrefixNC {
+	if c == nil {
 		return AnalyzeCtx(ctx, pg, opts)
 	}
-	c.ensureOpts(opts)
-	ctx, span := obs.StartSpan(ctx, "trajectory")
-	defer span.End()
-	a, err := newAnalyzerShell(ctx, pg, opts)
-	if err != nil {
-		return nil, err
-	}
-	ncOpts := netcalc.DefaultOptions()
-	ncOpts.Parallel = opts.Parallel
-	nc, err := netcalc.AnalyzeWithCacheCtx(ctx, pg, ncOpts, c.nc)
-	if err != nil {
-		return nil, fmt.Errorf("trajectory: computing NC prefix bounds: %w", err)
-	}
-	a.ncPrefix = nc.PrefixDelays
-	// The flat hot-path index reads the prefix bounds at build time, so
-	// it is prepared only now that the cached NC run has supplied them.
-	if err := a.prepare(); err != nil {
-		return nil, err
-	}
-
-	// Advance the run counter and record which dependencies changed
-	// since the previous run. Entries for ports or keys absent from the
-	// current graph simply go stale at their old version: no path of
-	// the current graph can reference them, and if they reappear later
-	// bit-identical they are still valid ancestors for entries computed
-	// before their disappearance.
-	im := newTrIncrMetrics(obs.RegistryFrom(ctx))
-	c.dep.update(pg, c.nc.SignaturesFor(pg), nc)
-
-	paths := pg.Net.AllPaths()
-	dets := make([]PathDetail, len(paths))
-	todo := make([]int, 0, len(paths))
-	for i, pid := range paths {
-		line := c.paths[pid]
-		if line != nil {
-			if e := c.validSlot(line, pg.PathPorts(pid), pg); e != nil {
-				dets[i] = e.det
-				im.hits.Inc()
-				continue
-			}
-			im.invalidations.Inc()
-		}
-		todo = append(todo, i)
-	}
-	im.recomputes.Add(int64(len(todo)))
-
-	err = parallel.ForEachCtx(ctx, opts.Parallel, len(todo), func(k int) error {
-		i := todo[k]
-		_, psp := obs.StartSpan(ctx, "path:"+paths[i].String())
-		defer psp.End()
-		det, err := a.analyzePath(ctx, paths[i])
-		dets[i] = det
-		return err
-	})
-	if err != nil {
-		return nil, err
-	}
-	for _, i := range todo {
-		seq := pg.PathPorts(paths[i])
-		sigs, pref := c.depSnapshot(seq, pg)
-		e := &pathEntry{
-			ports: append([]afdx.PortID(nil), seq...),
-			sigs:  sigs,
-			pref:  pref,
-			det:   dets[i],
-			at:    c.dep.run,
-		}
-		line := c.paths[paths[i]]
-		if line == nil {
-			line = &pathLine{}
-			c.paths[paths[i]] = line
-		}
-		line.slots[1] = line.slots[0]
-		line.slots[0] = e
-	}
-
-	res := &Result{
-		Opts:       opts,
-		PathDelays: make(map[afdx.PathID]float64, len(paths)),
-		Details:    make(map[afdx.PathID]PathDetail, len(paths)),
-	}
-	for i, pid := range paths {
-		res.PathDelays[pid] = dets[i].DelayUs
-		res.Details[pid] = dets[i]
-	}
-	return res, nil
-}
-
-// validSlot returns the first slot of line whose dependencies equal
-// the current run's, promoting a slot-1 hit to the front. A slot is
-// valid when every dependency it was computed from is bitwise equal to
-// the current value — checked by version first (nothing bumped since
-// the entry's last validation: the cheap steady-state path) and by the
-// entry's stored values second (versions moved but the values flipped
-// back, the A/B/A case).
-func (c *Cache) validSlot(line *pathLine, seq []afdx.PortID, pg *afdx.PortGraph) *pathEntry {
-	for si, e := range line.slots {
-		if e == nil || !c.slotValid(e, seq, pg) {
-			continue
-		}
-		if si == 1 {
-			line.slots[0], line.slots[1] = line.slots[1], line.slots[0]
-		}
-		return line.slots[0]
-	}
-	return nil
-}
-
-func (c *Cache) slotValid(e *pathEntry, seq []afdx.PortID, pg *afdx.PortGraph) bool {
-	if len(seq) == 0 || len(e.ports) != len(seq) {
-		return false
-	}
-	for i := range seq {
-		if e.ports[i] != seq[i] {
-			return false
-		}
-	}
-	if e.at == c.dep.run {
-		return true // already validated (or computed) this run
-	}
-	fresh := true // no dependency version moved past e.at
-	for _, h := range seq {
-		se, ok := c.dep.sigs[h]
-		if !ok {
-			return false
-		}
-		// The S_max alignment terms read the NC prefix bound of every
-		// flow met along the path (at its first shared port, a port of
-		// seq); the coarse per-port prefix version covers all of them
-		// (update folds the full current prefix map in, so every flow
-		// of the current graph is registered under its ports).
-		pv, pok := c.dep.prefPort[h]
-		if !pok {
-			return false
-		}
-		if se.ver > e.at || pv > e.at {
-			fresh = false
-			break
-		}
-	}
-	if !fresh && !c.slotValueEqual(e, seq, pg) {
-		return false
-	}
-	// Validated against the current dependency state: refresh the
-	// entry's clock so the next run takes the version fast path.
-	e.at = c.dep.run
-	return true
-}
-
-// slotValueEqual compares the entry's stored dependency values against
-// the tracker's current ones, bitwise and allocation-free.
-func (c *Cache) slotValueEqual(e *pathEntry, seq []afdx.PortID, pg *afdx.PortGraph) bool {
-	if len(e.sigs) != len(seq) {
-		return false
-	}
-	k := 0
-	for i, h := range seq {
-		se, ok := c.dep.sigs[h]
-		if !ok || se.val != e.sigs[i] {
-			return false
-		}
-		for _, f := range pg.Ports[h].Flows {
-			pe, ok := c.dep.pref[netcalc.FlowPortKey{VL: f.VL.ID, Port: h}]
-			if !ok || k >= len(e.pref) || pe.val != e.pref[k] {
-				return false
-			}
-			k++
-		}
-	}
-	return k == len(e.pref)
-}
-
-// depSnapshot captures the current dependency values of a path — the
-// signature of each crossed port and the prefix bound of every flow at
-// every crossed port — in the canonical order slotValueEqual walks.
-func (c *Cache) depSnapshot(seq []afdx.PortID, pg *afdx.PortGraph) ([]string, []float64) {
-	sigs := make([]string, len(seq))
-	var pref []float64
-	for i, h := range seq {
-		sigs[i] = c.dep.sigs[h].val
-		for _, f := range pg.Ports[h].Flows {
-			pref = append(pref, c.dep.pref[netcalc.FlowPortKey{VL: f.VL.ID, Port: h}].val)
-		}
-	}
-	return sigs, pref
+	return analyze(ctx, pg, opts, c.nc)
 }

@@ -36,7 +36,6 @@ import (
 	"context"
 	"fmt"
 	"math"
-	"sort"
 	"sync"
 
 	"afdx/internal/afdx"
@@ -211,51 +210,21 @@ type analyzer struct {
 	// trajPrefix caches recursive prefix response times
 	// (PrefixTrajectory mode).
 	trajPrefix prefixCache
-	// reference forces the pre-flattening hot path (reference.go) —
-	// the anchor the flattened engine is differentially tested and
-	// benchmarked against. Never set on production entry points.
-	reference bool
-	// flat is the dense per-run index the flattened hot path runs on
-	// (flat.go). Built by prepare after the prefix bounds are known;
-	// nil only on reference analyzers.
+	// flat is the dense per-run index the hot path runs on (flat.go),
+	// built once the prefix bounds are known.
 	flat *flatIndex
+	// portSeq, when non-nil, replaces the flat hot path for every port
+	// sequence the analyzer bounds — top-level paths and the
+	// PrefixTrajectory recursion alike. Only the differential tests set
+	// it, to the reference walker they compare the flat engine against.
+	portSeq func(ctx context.Context, vl *afdx.VirtualLink, ports []afdx.PortID, visiting map[netcalc.FlowPortKey]bool) (PathDetail, error)
 }
 
 // newAnalyzer validates the configuration for trajectory analysis and
-// prepares the shared state (prefix bounds, flat hot-path index).
-func newAnalyzer(ctx context.Context, pg *afdx.PortGraph, opts Options) (*analyzer, error) {
-	return newAnalyzerWith(ctx, pg, opts, false)
-}
-
-// newAnalyzerWith is newAnalyzer with an engine selector: reference
-// analyzers skip the flat index and run the pre-flattening hot path
-// (differential tests and benchmarks only).
-func newAnalyzerWith(ctx context.Context, pg *afdx.PortGraph, opts Options, reference bool) (*analyzer, error) {
-	a, err := newAnalyzerShell(ctx, pg, opts)
-	if err != nil {
-		return nil, err
-	}
-	a.reference = reference
-	if opts.PrefixMode == PrefixNC {
-		ncOpts := netcalc.DefaultOptions()
-		ncOpts.Parallel = opts.Parallel
-		nc, err := netcalc.AnalyzeCtx(ctx, pg, ncOpts)
-		if err != nil {
-			return nil, fmt.Errorf("trajectory: computing NC prefix bounds: %w", err)
-		}
-		a.ncPrefix = nc.PrefixDelays
-	}
-	if err := a.prepare(); err != nil {
-		return nil, err
-	}
-	return a, nil
-}
-
-// newAnalyzerShell runs the configuration checks and builds the shared
-// analyzer state without the NC prefix run; newAnalyzer adds a cold
-// prefix run, the incremental entry point (incremental.go) a cached
-// one.
-func newAnalyzerShell(ctx context.Context, pg *afdx.PortGraph, opts Options) (*analyzer, error) {
+// prepares the shared state: the NC prefix bounds (PrefixNC mode; run
+// through ncc when non-nil, cold otherwise) and the flat hot-path
+// index.
+func newAnalyzer(ctx context.Context, pg *afdx.PortGraph, opts Options, ncc *netcalc.Cache) (*analyzer, error) {
 	a := &analyzer{
 		pg:         pg,
 		opts:       opts,
@@ -281,6 +250,18 @@ func newAnalyzerShell(ctx context.Context, pg *afdx.PortGraph, opts Options) (*a
 				vl.ID, vl.Priority, pg.Net.VLs[0].ID, prio)
 		}
 	}
+	if opts.PrefixMode == PrefixNC {
+		ncOpts := netcalc.DefaultOptions()
+		ncOpts.Parallel = opts.Parallel
+		nc, err := netcalc.AnalyzeWithCacheCtx(ctx, pg, ncOpts, ncc)
+		if err != nil {
+			return nil, fmt.Errorf("trajectory: computing NC prefix bounds: %w", err)
+		}
+		a.ncPrefix = nc.PrefixDelays
+	}
+	if err := a.prepare(); err != nil {
+		return nil, err
+	}
 	return a, nil
 }
 
@@ -303,20 +284,26 @@ func Analyze(pg *afdx.PortGraph, opts Options) (*Result, error) {
 // influences the computation: results are bit-identical with or
 // without it.
 func AnalyzeCtx(ctx context.Context, pg *afdx.PortGraph, opts Options) (*Result, error) {
+	return analyze(ctx, pg, opts, nil)
+}
+
+// analyze is the shared body of AnalyzeCtx (ncc == nil, cold prefix
+// run) and AnalyzeWithCacheCtx (prefix run through ncc).
+func analyze(ctx context.Context, pg *afdx.PortGraph, opts Options, ncc *netcalc.Cache) (*Result, error) {
 	ctx, span := obs.StartSpan(ctx, "trajectory")
 	defer span.End()
-	a, err := newAnalyzer(ctx, pg, opts)
+	a, err := newAnalyzer(ctx, pg, opts, ncc)
 	if err != nil {
 		return nil, err
 	}
-	res := &Result{
-		Opts:       opts,
-		PathDelays: map[afdx.PathID]float64{},
-		Details:    map[afdx.PathID]PathDetail{},
-	}
-	paths := pg.Net.AllPaths()
+	return a.run(ctx)
+}
+
+// run bounds every path of the graph over the worker pool.
+func (a *analyzer) run(ctx context.Context) (*Result, error) {
+	paths := a.pg.Net.AllPaths()
 	dets := make([]PathDetail, len(paths))
-	err = parallel.ForEachCtx(ctx, opts.Parallel, len(paths), func(i int) error {
+	err := parallel.ForEachCtx(ctx, a.opts.Parallel, len(paths), func(i int) error {
 		_, psp := obs.StartSpan(ctx, "path:"+paths[i].String())
 		defer psp.End()
 		det, err := a.analyzePath(ctx, paths[i])
@@ -326,23 +313,16 @@ func AnalyzeCtx(ctx context.Context, pg *afdx.PortGraph, opts Options) (*Result,
 	if err != nil {
 		return nil, err
 	}
+	res := &Result{
+		Opts:       a.opts,
+		PathDelays: make(map[afdx.PathID]float64, len(paths)),
+		Details:    make(map[afdx.PathID]PathDetail, len(paths)),
+	}
 	for i, pid := range paths {
 		res.PathDelays[pid] = dets[i].DelayUs
 		res.Details[pid] = dets[i]
 	}
 	return res, nil
-}
-
-// interferer is one flow of the interference set of a path.
-type interferer struct {
-	vl    *afdx.VirtualLink
-	first afdx.PortID // first port shared with the analyzed path
-	prev  string      // input node of the flow at that port ("" = source)
-	cUs   float64     // max transmission time over the shared ports
-	aUs   float64     // window alignment A_ij
-	// serRatio is input-link rate / first-port rate: the serialization
-	// cap of a group grows with the emission window scaled by it.
-	serRatio float64
 }
 
 // analyzePath bounds the end-to-end delay of one (VL, destination) path.
@@ -364,13 +344,11 @@ func (a *analyzer) analyzePath(ctx context.Context, pid afdx.PathID) (PathDetail
 // the current recursion chain (PrefixTrajectory cycle detection); nil at
 // a recursion root.
 //
-// The work is dispatched to the flattened hot path (flat.go) unless the
-// analyzer was built as a reference anchor; both produce bit-identical
-// PathDetails (proven by the differential property tests in
-// flat_test.go), so the choice is invisible to callers.
+// The work runs on the flattened hot path (flat.go) unless a test has
+// installed the portSeq hook.
 func (a *analyzer) analyzePortSeq(ctx context.Context, vl *afdx.VirtualLink, ports []afdx.PortID, visiting map[netcalc.FlowPortKey]bool) (PathDetail, error) {
-	if a.reference {
-		return a.analyzePortSeqRef(ctx, vl, ports, visiting)
+	if a.portSeq != nil {
+		return a.portSeq(ctx, vl, ports, visiting)
 	}
 	return a.analyzePortSeqFlat(ctx, vl, ports, visiting)
 }
@@ -399,23 +377,15 @@ func (a *analyzer) transitionSum(ports []afdx.PortID) float64 {
 }
 
 // sMax bounds the latest arrival time of a frame of vl at the given port,
-// relative to its emission (0 at the flow's source port). In
-// PrefixTrajectory mode the recursive computation is memoized in the
-// shared prefix cache; visiting is this goroutine's recursion chain and
-// detects cyclic prefix dependencies without mistaking another worker's
-// in-flight computation for one.
+// relative to its emission (0 at the flow's source port), by the
+// Trajectory approach applied to the flow's prefix sub-path
+// (PrefixTrajectory mode; PrefixNC reads the NC prefix table instead).
+// The recursive computation is memoized in the shared prefix cache;
+// visiting is this goroutine's recursion chain and detects cyclic
+// prefix dependencies without mistaking another worker's in-flight
+// computation for one.
 func (a *analyzer) sMax(ctx context.Context, vl *afdx.VirtualLink, port afdx.PortID, visiting map[netcalc.FlowPortKey]bool) (float64, error) {
 	key := netcalc.FlowPortKey{VL: vl.ID, Port: port}
-	if a.opts.PrefixMode == PrefixNC {
-		d, ok := a.ncPrefix[key]
-		if !ok {
-			a.m.ncMiss.Inc()
-			return 0, fmt.Errorf("trajectory: no NC prefix bound for VL %s at %s", vl.ID, port)
-		}
-		// Hits are batched by the caller (interferenceSet): one atomic
-		// Add per interference set, not one per lookup.
-		return d, nil
-	}
 	if d, ok := a.trajPrefix.get(key); ok {
 		a.m.recHits.Inc()
 		return d, nil
@@ -467,23 +437,10 @@ func (a *analyzer) prefixPorts(vl *afdx.VirtualLink, port afdx.PortID) ([]afdx.P
 	return nil, false
 }
 
-// maxFrameTimeAt returns max_j C_j over the flows crossing a port.
-// With the flat index built, the max is precomputed (flow-order max
-// accumulation, so the value is the bitwise same float either way).
+// maxFrameTimeAt returns max_j C_j over the flows crossing a port,
+// precomputed by the flat index.
 func (a *analyzer) maxFrameTimeAt(id afdx.PortID) float64 {
-	if a.flat != nil {
-		if fp := a.flat.ports[id]; fp != nil {
-			return fp.maxC
-		}
-	}
-	p := a.pg.Ports[id]
-	m := 0.0
-	for _, f := range p.Flows {
-		if c := f.VL.CMaxUs(p.RateBitsPerUs); c > m {
-			m = c
-		}
-	}
-	return m
+	return a.flat.ports[id].maxC
 }
 
 // maxSharedFrameTime returns max_j C_j over the flows crossing both
@@ -548,57 +505,4 @@ func frameCount(x, t float64) int {
 		x = 0
 	}
 	return 1 + int(math.Floor((x+tol.At(x))/t))
-}
-
-// candidateOffsets enumerates the emission offsets where the objective
-// can attain its maximum: t = 0 and every step point k*T_j - A_ij of an
-// interferer inside the busy period. A long busy period over a short
-// BAG yields thousands of step points per interferer, so the
-// enumeration polls ctx and can be cancelled mid-port. All comparisons
-// use the shared relative tolerance (tol): offsets scale with the busy
-// period, which exceeds 1e6 us on large-BAG configurations where an
-// absolute 1e-9 guard would fall below one ulp.
-func candidateOffsets(ctx context.Context, inter []interferer, busy float64) ([]float64, error) {
-	cands := []float64{0}
-	for _, it := range inter {
-		T := it.vl.BAGUs()
-		// Step points t = k*T - A_ij need t > 0, i.e. k > A_ij/T, and
-		// k >= 1 (N_j only jumps at whole windows). The tolerance is in
-		// the k domain — relative to the ratio being rounded — so an
-		// A_ij sitting a rounding error above an exact multiple of T
-		// still starts at that multiple (the t > tol.At(t) filter below
-		// then discards the t = 0 duplicate). The pre-fix code negated
-		// the ratio (ceil(-A_ij/T)), which collapsed to the k = 1 clamp
-		// for every positive A_ij — accidentally correct — but for
-		// A_ij <= -T it started at ceil(|A_ij|/T), silently skipping
-		// the first valid step points of early-arriving interferers and
-		// with them, potentially, the busy-period maximum.
-		start := math.Ceil(it.aUs/T - tol.At(it.aUs/T))
-		if start < 1 {
-			start = 1
-		}
-		for k, n := start, 0; ; k, n = k+1, n+1 {
-			if n&8191 == 8191 {
-				if err := ctx.Err(); err != nil {
-					return nil, fmt.Errorf("trajectory: candidate enumeration cancelled: %w", err)
-				}
-			}
-			t := k*T - it.aUs
-			if tol.Gt(t, busy) {
-				break
-			}
-			if t > tol.At(t) {
-				cands = append(cands, t)
-			}
-		}
-	}
-	sort.Float64s(cands)
-	// Deduplicate within tolerance.
-	out := cands[:0]
-	for _, t := range cands {
-		if len(out) == 0 || tol.Gt(t, out[len(out)-1]) {
-			out = append(out, t)
-		}
-	}
-	return out, nil
 }
