@@ -11,9 +11,12 @@ package afdx_test
 import (
 	"fmt"
 	"hash/fnv"
+	"slices"
+	"strings"
 	"testing"
 
 	"afdx"
+	"afdx/internal/netcalc"
 )
 
 // sameNCResults fails the test unless the two NC results are
@@ -293,6 +296,190 @@ func TestTrajectoryGoldenPinnedValues(t *testing.T) {
 			if got := h.Sum64(); got != tc.want {
 				t.Errorf("%s (workers=%d): digest %#x drifted from the pinned seed digest %#x over %d paths",
 					tc.name, workers, got, tc.want, len(res.PathDelays))
+			}
+		}
+	}
+}
+
+// renderNCLines renders an NC result into the canonical golden form,
+// floats in hex (%x, an exact bit-level rendering): one "F" line per
+// (VL, port) incidence with its FlowDelays, Bursts and PrefixDelays
+// entries, one "P" line per path with its PathDelays entry, and one
+// "R" line per port with its DelayUs and BacklogBits. Every section is
+// sorted canonically, so the rendering is independent of map order.
+func renderNCLines(res *afdx.NCResult) []string {
+	keys := make([]netcalc.FlowPortKey, 0, len(res.FlowDelays))
+	for k := range res.FlowDelays {
+		keys = append(keys, k)
+	}
+	slices.SortFunc(keys, func(a, b netcalc.FlowPortKey) int {
+		if c := strings.Compare(a.VL, b.VL); c != 0 {
+			return c
+		}
+		if c := strings.Compare(a.Port.From, b.Port.From); c != 0 {
+			return c
+		}
+		return strings.Compare(a.Port.To, b.Port.To)
+	})
+	pids := make([]afdx.PathID, 0, len(res.PathDelays))
+	for id := range res.PathDelays {
+		pids = append(pids, id)
+	}
+	afdx.SortPathIDs(pids)
+	ports := make([]afdx.PortID, 0, len(res.Ports))
+	for id := range res.Ports {
+		ports = append(ports, id)
+	}
+	afdx.SortPortIDs(ports)
+	lines := make([]string, 0, len(keys)+len(pids)+len(ports))
+	for _, k := range keys {
+		lines = append(lines, fmt.Sprintf("F %s %v %x %x %x",
+			k.VL, k.Port, res.FlowDelays[k], res.Bursts[k], res.PrefixDelays[k]))
+	}
+	for _, id := range pids {
+		lines = append(lines, fmt.Sprintf("P %v %x", id, res.PathDelays[id]))
+	}
+	for _, id := range ports {
+		p := res.Ports[id]
+		lines = append(lines, fmt.Sprintf("R %v %x %x", id, p.DelayUs, p.BacklogBits))
+	}
+	return lines
+}
+
+// ncDigest is the FNV-64a digest of renderNCLines, one line per
+// newline-terminated record.
+func ncDigest(res *afdx.NCResult) uint64 {
+	h := fnv.New64a()
+	for _, line := range renderNCLines(res) {
+		h.Write([]byte(line))
+		h.Write([]byte("\n"))
+	}
+	return h.Sum64()
+}
+
+// ncTierOptions returns the paper's default NC options on the given
+// analysis tier.
+func ncTierOptions(tier afdx.NCAnalysis, workers int) afdx.NCOptions {
+	opts := afdx.DefaultNCOptions()
+	opts.Analysis = tier
+	opts.Parallel = workers
+	return opts
+}
+
+// TestNCGoldenPinnedValues pins the NC engine's output bit-for-bit,
+// per analysis tier, against values captured before the FIFO-tier
+// kernel was made allocation-free: the paper's sample configuration's
+// FlowDelays and PathDelays literally, and the 120-VL generated
+// configuration as an FNV-64a digest of every FlowDelays, Bursts,
+// PrefixDelays, PathDelays and per-port DelayUs/BacklogBits entry, at
+// workers 1 and 8. The NC determinism tests above compare runs within
+// one build; this test is the anchor across changes to the engine.
+func TestNCGoldenPinnedValues(t *testing.T) {
+	fig2, err := afdx.BuildPortGraph(afdx.Figure2Config(), afdx.Strict)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Lines: "F <vl> <port> <flow delay> <burst> <prefix>" per
+	// incidence, then "P <path> <path delay>". The FIFO refinement never
+	// beats the aggregate bound on the sample configuration, so FIFO
+	// coincides with WCNC there; the generated configuration below is
+	// where the tiers part.
+	wcnc := []string{
+		"F v1 S1->S3 0x1.847ae147ae148p+06 0x1.fbp+11 0x1.cp+05",
+		"F v1 S3->e6 0x1.17e1e82d23bc4p+07 0x1.0391eb851eb85p+12 0x1.323d70a3d70a4p+07",
+		"F v1 e1->S1 0x1.cp+05 0x1.f4p+11 0x0p+00",
+		"F v2 S1->S3 0x1.847ae147ae148p+06 0x1.fbp+11 0x1.cp+05",
+		"F v2 S3->e6 0x1.17e1e82d23bc4p+07 0x1.0391eb851eb85p+12 0x1.323d70a3d70a4p+07",
+		"F v2 e2->S1 0x1.cp+05 0x1.f4p+11 0x0p+00",
+		"F v3 S2->S3 0x1.847ae147ae148p+06 0x1.fbp+11 0x1.cp+05",
+		"F v3 S3->e6 0x1.17e1e82d23bc4p+07 0x1.0391eb851eb85p+12 0x1.323d70a3d70a4p+07",
+		"F v3 e3->S2 0x1.cp+05 0x1.f4p+11 0x0p+00",
+		"F v4 S2->S3 0x1.847ae147ae148p+06 0x1.fbp+11 0x1.cp+05",
+		"F v4 S3->e6 0x1.17e1e82d23bc4p+07 0x1.0391eb851eb85p+12 0x1.323d70a3d70a4p+07",
+		"F v4 e4->S2 0x1.cp+05 0x1.f4p+11 0x0p+00",
+		"F v5 S3->e7 0x1.c47ae147ae148p+05 0x1.fbp+11 0x1.cp+05",
+		"F v5 e5->S3 0x1.cp+05 0x1.f4p+11 0x0p+00",
+		"P v1/0 0x1.250fac687d634p+08",
+		"P v2/0 0x1.250fac687d634p+08",
+		"P v3/0 0x1.250fac687d634p+08",
+		"P v4/0 0x1.250fac687d634p+08",
+		"P v5/0 0x1.c23d70a3d70a4p+06",
+	}
+	fig2Want := map[afdx.NCAnalysis][]string{
+		afdx.NCAnalysisTFA: {
+			"F v1 S1->S3 0x1.847ae147ae148p+06 0x1.fbp+11 0x1.cp+05",
+			"F v1 S3->e6 0x1.6c3fe5c91d14ep+07 0x1.0391eb851eb85p+12 0x1.323d70a3d70a4p+07",
+			"F v1 e1->S1 0x1.cp+05 0x1.f4p+11 0x0p+00",
+			"F v2 S1->S3 0x1.847ae147ae148p+06 0x1.fbp+11 0x1.cp+05",
+			"F v2 S3->e6 0x1.6c3fe5c91d14ep+07 0x1.0391eb851eb85p+12 0x1.323d70a3d70a4p+07",
+			"F v2 e2->S1 0x1.cp+05 0x1.f4p+11 0x0p+00",
+			"F v3 S2->S3 0x1.847ae147ae148p+06 0x1.fbp+11 0x1.cp+05",
+			"F v3 S3->e6 0x1.6c3fe5c91d14ep+07 0x1.0391eb851eb85p+12 0x1.323d70a3d70a4p+07",
+			"F v3 e3->S2 0x1.cp+05 0x1.f4p+11 0x0p+00",
+			"F v4 S2->S3 0x1.847ae147ae148p+06 0x1.fbp+11 0x1.cp+05",
+			"F v4 S3->e6 0x1.6c3fe5c91d14ep+07 0x1.0391eb851eb85p+12 0x1.323d70a3d70a4p+07",
+			"F v4 e4->S2 0x1.cp+05 0x1.f4p+11 0x0p+00",
+			"F v5 S3->e7 0x1.c47ae147ae148p+05 0x1.fbp+11 0x1.cp+05",
+			"F v5 e5->S3 0x1.cp+05 0x1.f4p+11 0x0p+00",
+			"P v1/0 0x1.4f3eab367a0f9p+08",
+			"P v2/0 0x1.4f3eab367a0f9p+08",
+			"P v3/0 0x1.4f3eab367a0f9p+08",
+			"P v4/0 0x1.4f3eab367a0f9p+08",
+			"P v5/0 0x1.c23d70a3d70a4p+06",
+		},
+		afdx.NCAnalysisWCNC: wcnc,
+		afdx.NCAnalysisFIFO: wcnc,
+	}
+	for _, tier := range afdx.NCAnalyses() {
+		for _, workers := range []int{1, 8} {
+			res, err := afdx.AnalyzeNC(fig2, ncTierOptions(tier, workers))
+			if err != nil {
+				t.Fatalf("fig2 %v: %v", tier, err)
+			}
+			var lines []string
+			for _, line := range renderNCLines(res) {
+				if !strings.HasPrefix(line, "R ") {
+					lines = append(lines, line)
+				}
+			}
+			want := fig2Want[tier]
+			if len(lines) != len(want) {
+				t.Errorf("fig2 %v (workers=%d): %d lines, want %d:\n%s", tier, workers, len(lines), len(want), strings.Join(lines, "\n"))
+				continue
+			}
+			for i := range lines {
+				if lines[i] != want[i] {
+					t.Errorf("fig2 %v (workers=%d): line %d drifted from the pinned value:\n  got  %s\n  want %s",
+						tier, workers, i, lines[i], want[i])
+				}
+			}
+		}
+	}
+
+	spec := afdx.DefaultGeneratorSpec(1)
+	spec.NumVLs = 120
+	net, err := afdx.Generate(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	pg, err := afdx.BuildPortGraph(net, afdx.Strict)
+	if err != nil {
+		t.Fatal(err)
+	}
+	smallWant := map[afdx.NCAnalysis]uint64{
+		afdx.NCAnalysisTFA:  0x54d5f9d97d2a1898,
+		afdx.NCAnalysisWCNC: 0xb4e9899b84759a79,
+		afdx.NCAnalysisFIFO: 0x415e4bc99b2f5794,
+	}
+	for _, tier := range afdx.NCAnalyses() {
+		for _, workers := range []int{1, 8} {
+			res, err := afdx.AnalyzeNC(pg, ncTierOptions(tier, workers))
+			if err != nil {
+				t.Fatalf("small-industrial %v: %v", tier, err)
+			}
+			if got := ncDigest(res); got != smallWant[tier] {
+				t.Errorf("small-industrial %v (workers=%d): digest %#x drifted from the pinned digest %#x over %d incidences",
+					tier, workers, got, smallWant[tier], len(res.FlowDelays))
 			}
 		}
 	}
