@@ -57,3 +57,4 @@ conformance:
 fuzz-smoke:
 	go test -run '^$$' -fuzz '^FuzzReadJSON$$' -fuzztime 10s ./internal/afdx
 	go test -run '^$$' -fuzz '^FuzzConformanceConfig$$' -fuzztime 10s ./internal/conformance
+	go test -run '^$$' -fuzz '^FuzzFIFOResidual$$' -fuzztime 10s ./internal/minplus

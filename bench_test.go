@@ -190,6 +190,7 @@ func benchmarkNCIndustrial(b *testing.B, workers int) {
 	pg := industrialGraph(b)
 	opts := afdx.DefaultNCOptions()
 	opts.Parallel = workers
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, err := afdx.AnalyzeNC(pg, opts); err != nil {
@@ -223,6 +224,7 @@ func benchmarkNCIndustrialTier(b *testing.B, tier afdx.NCAnalysis) {
 	opts := afdx.DefaultNCOptions()
 	opts.Parallel = 1
 	opts.Analysis = tier
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, err := afdx.AnalyzeNC(pg, opts); err != nil {

@@ -159,5 +159,6 @@ fi
 echo "== fuzz smoke (5s per target)"
 go test -run '^$' -fuzz '^FuzzReadJSON$' -fuzztime 5s ./internal/afdx
 go test -run '^$' -fuzz '^FuzzConformanceConfig$' -fuzztime 5s ./internal/conformance
+go test -run '^$' -fuzz '^FuzzFIFOResidual$' -fuzztime 5s ./internal/minplus
 
 echo "check.sh: all gates passed"

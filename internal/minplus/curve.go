@@ -260,11 +260,10 @@ func (c Curve) breakpointXs() []float64 {
 	return xs
 }
 
-// breakpointYs returns the candidate ordinates where the pseudo-inverse of
-// the curve changes slope: for every piece boundary both the left limit and
-// the right value (they differ at jumps).
-func (c Curve) breakpointYs() []float64 {
-	ys := make([]float64, 0, 2*len(c.segs))
+// appendBreakpointYs appends to ys the candidate ordinates where the
+// pseudo-inverse of the curve changes slope: for every piece boundary
+// both the left limit and the right value (they differ at jumps).
+func (c Curve) appendBreakpointYs(ys []float64) []float64 {
 	for i, s := range c.segs {
 		if i > 0 {
 			prev := c.segs[i-1]
@@ -278,38 +277,49 @@ func (c Curve) breakpointYs() []float64 {
 // InverseInf returns the pseudo-inverse inf{ t >= 0 : f(t) >= y }.
 // It returns +Inf when the curve never reaches y.
 func (c Curve) InverseInf(y float64) float64 {
+	t, _ := c.inverseFrom(y, 0)
+	return t
+}
+
+// inverseFrom is InverseInf with the piece scan starting at index k.
+// It also returns the index of the piece that answered: every earlier
+// piece failed both of its tests for y, and fails them for any larger
+// ordinate too, so a caller querying non-decreasing ordinates passes
+// that index back as the next k and gets InverseInf's answers.
+func (c Curve) inverseFrom(y float64, k int) (float64, int) {
 	if y <= c.segs[0].Y+Eps {
-		return 0
+		return 0, k
 	}
-	for i, s := range c.segs {
+	for i := k; i < len(c.segs); i++ {
+		s := c.segs[i]
 		var end float64
 		if i+1 < len(c.segs) {
 			end = s.Y + s.Slope*(c.segs[i+1].X-s.X)
 		} else {
 			if s.Slope <= Eps {
 				if y <= s.Y+Eps {
-					return s.X
+					return s.X, i
 				}
-				return math.Inf(1)
+				return math.Inf(1), i
 			}
-			return s.X + (y-s.Y)/s.Slope
+			return s.X + (y-s.Y)/s.Slope, i
 		}
 		if y <= s.Y+Eps {
-			return s.X
+			return s.X, i
 		}
 		if y <= end+Eps {
 			if s.Slope <= Eps {
-				return c.segs[i+1].X
+				return c.segs[i+1].X, i
 			}
 			t := s.X + (y-s.Y)/s.Slope
 			next := c.segs[i+1].X
 			if t > next {
 				t = next
 			}
-			return t
+			return t, i
 		}
 	}
-	return math.Inf(1) // unreachable
+	return math.Inf(1), len(c.segs) - 1 // unreachable
 }
 
 // String renders the curve as a compact list of pieces, for debugging
