@@ -243,6 +243,24 @@ func BenchmarkNCIndustrialTierFIFOCold(b *testing.B) {
 func BenchmarkTrajectoryIndustrialSeq(b *testing.B) { benchmarkTrajectoryIndustrial(b, 1) }
 func BenchmarkTrajectoryIndustrialPar(b *testing.B) { benchmarkTrajectoryIndustrial(b, 0) }
 
+// BenchmarkLintIndustrial times the static pre-flight on the industrial
+// configuration: every registered analyzer, including the routing
+// checks and the port-graph build they share.
+func BenchmarkLintIndustrial(b *testing.B) {
+	net, err := afdx.Generate(afdx.DefaultGeneratorSpec(1))
+	if err != nil {
+		b.Fatal(err)
+	}
+	opts := afdx.DefaultLintOptions()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if rep := afdx.Lint(net, opts); rep.HasErrors() {
+			b.Fatal("industrial configuration lints with errors")
+		}
+	}
+}
+
 // BenchmarkSimulatorFigure2 times the discrete-event simulator itself.
 func BenchmarkSimulatorFigure2(b *testing.B) {
 	pg := figure2Graph(b)

@@ -180,13 +180,23 @@ func (n *Network) RoutingDiagnostics() []diag.Diagnostic {
 	route := func(loc diag.Location, suggestion, format string, args ...any) {
 		ds = append(ds, diag.New(diag.CodeRouting, diag.Error, loc, suggestion, format, args...))
 	}
+	// Node-kind membership sets, built once: every path asks 3-5
+	// times, and IsEndSystem/IsSwitch scan the node lists.
+	isES := make(map[string]bool, len(n.EndSystems))
+	for _, e := range n.EndSystems {
+		isES[e] = true
+	}
+	isSwitch := make(map[string]bool, len(n.Switches))
+	for _, s := range n.Switches {
+		isSwitch[s] = true
+	}
 	attach := map[string]string{}
 	for _, v := range n.VLs {
 		if v == nil {
 			continue
 		}
 		loc := diag.Location{VL: v.ID}
-		if !n.IsEndSystem(v.Source) {
+		if !isES[v.Source] {
 			route(loc, "VL sources must be declared end systems (mono-transmitter rule)",
 				"VL %s source %q is not an end system", v.ID, v.Source)
 		}
@@ -206,7 +216,7 @@ func (n *Network) RoutingDiagnostics() []diag.Diagnostic {
 					"VL %s path %d starts at %q, want source %q", v.ID, pi, path[0], v.Source)
 			}
 			last := path[len(path)-1]
-			if !n.IsEndSystem(last) {
+			if !isES[last] {
 				route(diag.Location{VL: v.ID, Node: last}, "destinations must be declared end systems",
 					"VL %s path %d ends at %q which is not an end system", v.ID, pi, last)
 			}
@@ -215,7 +225,7 @@ func (n *Network) RoutingDiagnostics() []diag.Diagnostic {
 					"VL %s path %d loops back to its source", v.ID, pi)
 			}
 			for k := 1; k < len(path)-1; k++ {
-				if !n.IsSwitch(path[k]) {
+				if !isSwitch[path[k]] {
 					route(diag.Location{VL: v.ID, Node: path[k]}, "interior path nodes must be switches",
 						"VL %s path %d interior node %q is not a switch", v.ID, pi, path[k])
 				}
@@ -232,7 +242,7 @@ func (n *Network) RoutingDiagnostics() []diag.Diagnostic {
 			// End systems attach to exactly one switch (ARINC 664 rule).
 			for _, pair := range [][2]string{{path[0], path[1]}, {last, path[len(path)-2]}} {
 				es, sw := pair[0], pair[1]
-				if !n.IsEndSystem(es) {
+				if !isES[es] {
 					continue
 				}
 				if prev, ok := attach[es]; ok && prev != sw {

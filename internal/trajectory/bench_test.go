@@ -36,6 +36,7 @@ func benchIndustrial(b *testing.B, workers int, reference bool) {
 	if reference {
 		run = analyzeReference
 	}
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		res, err := run(context.Background(), pg, opts)

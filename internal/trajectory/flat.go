@@ -4,7 +4,7 @@ import (
 	"context"
 	"fmt"
 	"math"
-	"slices"
+	"math/bits"
 	"sort"
 	"sync"
 
@@ -21,6 +21,9 @@ import (
 //
 //   - VLs are addressed by their dense ordinal (afdx.PortGraph.VLOrdinal,
 //     ID-sorted, so ordinal order == ID order) instead of string map keys.
+//   - The interference set is emitted in ordinal (= VL-ID) order by a
+//     walk over a per-scratch ordinal bitset, replacing a comparison
+//     sort of the first-occurrence list.
 //   - Every port carries flat per-flow slices (transmission time, BAG,
 //     NC prefix bound, serialization ratio, input-group slot), so the
 //     interference-set and busy-period loops walk contiguous arrays.
@@ -46,9 +49,10 @@ import (
 // analyzePortSeqFlat and returned on exit. A scratch is owned by
 // exactly one analyzePortSeqFlat invocation; recursive prefix analyses
 // (PrefixTrajectory mode) take their own scratch from the pool, so the
-// buffers never nest. The seen stamp array is cleaned by its owner
-// before the scratch goes back to the pool (putScratch), which is what
-// keeps checkout O(1) instead of O(#VLs).
+// buffers never nest. The seen stamp array and the ordinal bitset are
+// cleaned by their owner before the scratch goes back to the pool
+// (putScratch), on the error returns too, which is what keeps checkout
+// O(1) instead of O(#VLs).
 
 // flatInterferer is one interference-set entry in flat form: ordinals
 // and precomputed scalars only, no pointers into the model.
@@ -140,10 +144,13 @@ type candStream struct {
 // scratch is the per-invocation buffer set of the flat hot path. See
 // the ownership rules in the file comment.
 type scratch struct {
-	// seen maps VL ordinal -> index into inter, -1 when absent. It is
-	// the one buffer whose clean state spans checkouts: putScratch
-	// resets exactly the stamped entries.
+	// seen maps VL ordinal -> index into inter, -1 when absent, and
+	// ordSet has one bit per VL ordinal, set for every interferer, read
+	// by the ordinal-order walk. They are the two buffers whose clean
+	// state spans checkouts: putScratch resets exactly the stamped
+	// entries.
 	seen    []int32
+	ordSet  []uint64
 	inter   []flatInterferer
 	regroup []flatInterferer // inter re-ordered group-major (counting sort)
 	fps     []*flatPort      // the path's ports, resolved once
@@ -173,9 +180,14 @@ func (fl *flatIndex) getScratch() *scratch {
 	return fl.pool.Get().(*scratch)
 }
 
+// putScratch returns sc to the pool clean: the seen stamp and ordSet
+// word of every interferer in sc.inter are reset, which also covers an
+// interference set abandoned part-way by an error return.
 func (fl *flatIndex) putScratch(sc *scratch) {
 	for i := range sc.inter {
-		sc.seen[sc.inter[i].vl] = -1
+		ord := sc.inter[i].vl
+		sc.seen[ord] = -1
+		sc.ordSet[ord>>6] = 0
 	}
 	sc.inter = sc.inter[:0]
 	fl.pool.Put(sc)
@@ -202,7 +214,7 @@ func (a *analyzer) prepare() error {
 	}
 	nVLs := len(fl.vls)
 	fl.pool.New = func() any {
-		sc := &scratch{seen: make([]int32, nVLs)}
+		sc := &scratch{seen: make([]int32, nVLs), ordSet: make([]uint64, (nVLs+63)/64)}
 		for i := range sc.seen {
 			sc.seen[i] = -1
 		}
@@ -351,6 +363,7 @@ func (a *analyzer) interferenceSet(ctx context.Context, sc *scratch, vl *afdx.Vi
 				}
 			}
 			sc.seen[ord] = int32(len(sc.inter))
+			sc.ordSet[ord>>6] |= 1 << (ord & 63)
 			sc.inter = append(sc.inter, flatInterferer{
 				vl:       ord,
 				pos:      int32(pos),
@@ -365,11 +378,21 @@ func (a *analyzer) interferenceSet(ctx context.Context, sc *scratch, vl *afdx.Vi
 	if ncLookups > 0 {
 		a.m.ncHits.Add(ncLookups)
 	}
-	// VL-ordinal order == VL-ID order (ordinals are assigned ID-sorted),
-	// so this reproduces the reference's interferer sort. Ordinals are
-	// unique within the set (first-occurrence dedup), so instability of
-	// the sort cannot reorder equal keys.
-	slices.SortFunc(sc.inter, func(x, y flatInterferer) int { return int(x.vl) - int(y.vl) })
+	// Emit the set in VL-ordinal order == VL-ID order (ordinals are
+	// assigned ID-sorted), the reference's interferer sort, by walking
+	// the ordinal bitset. Ordinals are unique within the set, so this
+	// is exactly the sorted order. The ordered copy goes into regroup's
+	// buffer and the two swap; regroupInterferers rebuilds regroup from
+	// inter anyway.
+	out := grow(sc.regroup, len(sc.inter))
+	i := 0
+	for w, word := range sc.ordSet {
+		for ; word != 0; word &= word - 1 {
+			out[i] = sc.inter[sc.seen[w<<6|bits.TrailingZeros64(word)]]
+			i++
+		}
+	}
+	sc.inter, sc.regroup = out, sc.inter
 	return nil
 }
 
@@ -561,8 +584,9 @@ func (sc *scratch) mergeCandidates(ctx context.Context, busy float64) error {
 	for i := range sc.inter {
 		it := &sc.inter[i]
 		T := it.bagUs
-		// Same start index as candidateOffsets (see there for the
-		// k-domain tolerance rationale).
+		// Same start index as the reference's candidateOffsets
+		// (reference_test.go; see there for the k-domain tolerance
+		// rationale).
 		k := math.Ceil(it.aUs/T - tol.At(it.aUs/T))
 		if k < 1 {
 			k = 1
